@@ -18,7 +18,8 @@ from .dataio import (
     read_split_manifest,
     write_split_manifest,
 )
-from .exceptions import ConvergenceError, DataError, RankDeficiencyError, SolverError
+from .exceptions import (ConvergenceError, DataError, RankDeficiencyError, SolverError,
+                         UnboundedDualError)
 from .metrics import (
     EvaluationReport,
     UserScores,
@@ -32,6 +33,7 @@ from .transport import (
     CostMatrix,
     GibbsKernel,
     TransportPlan,
+    batch_conjugate,
     conjugate_grad,
     conjugate_value,
     entropy,
@@ -60,9 +62,11 @@ __all__ = [
     "DataError",
     "RankDeficiencyError",
     "SolverError",
+    "UnboundedDualError",
     "CostMatrix",
     "GibbsKernel",
     "TransportPlan",
+    "batch_conjugate",
     "conjugate_grad",
     "conjugate_value",
     "entropy",

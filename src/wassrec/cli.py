@@ -11,9 +11,9 @@ to the WASSREC_OUT environment variable, then ./wassrec-out):
 * evaluate: score every run against the held-out cold interactions and
   write per-user and summary tables under <out>/reports/.
 
-Every file the pipeline writes is deterministic for a fixed config and
-seed: reruns are byte-identical.  Exit codes: 0 success, 1 usage error,
-2 data error, 3 solver failure.
+Every file the pipeline writes is deterministic for a fixed config,
+seed and BLAS thread count: reruns are byte-identical.  Exit codes:
+0 success, 1 usage error, 2 data error, 3 solver failure.
 """
 
 import argparse
@@ -39,7 +39,6 @@ from .dataio import (
 )
 from .exceptions import DataError, SolverError
 from .metrics import evaluate_run, write_report_files
-from .transport import GibbsKernel
 from .wcf import TrainOptions, predict_user, save_model, train_wcf
 from .wfilter import UserInteractions, estimate_preference, infer_cold, rank_items
 
@@ -234,18 +233,20 @@ def cmd_prepare(config: ExperimentConfig) -> int:
 
 
 def _fold_histograms(split):
-    """Per-user preference histograms over the fold's interacted items.
+    """Trainable users, ascending, and their preference histograms as columns.
 
-    Users whose every interaction fell on cold items have no training
-    signal and are left out (the caller reports them).
+    Histograms are over the fold's interacted items.  Users whose every
+    interaction fell on cold items have no training signal and are left
+    out (the caller reports them).
     """
     interacted = np.asarray(split.interacted_items, dtype=np.int64)
-    histograms = {}
-    for user, (items, vals) in split.train.by_user().items():
+    by_user = split.train.by_user()
+    P = np.empty((interacted.size, len(by_user)))
+    for u, (user, (items, vals)) in enumerate(by_user.items()):
         idx = np.searchsorted(interacted, items)
         ui = UserInteractions(user_id=user, item_indices=idx, values=vals)
-        histograms[user] = estimate_preference(ui, interacted.size)
-    return histograms
+        P[:, u] = estimate_preference(ui, interacted.size)
+    return list(by_user), P
 
 
 def _write_predictions(path, predictions) -> None:
@@ -272,10 +273,10 @@ def cmd_train(config: ExperimentConfig) -> int:
         run_dir = out / "runs" / config.algorithm / ("fold%d" % split.fold)
         run_dir.mkdir(parents=True, exist_ok=True)
 
-        histograms = _fold_histograms(split)
-        if not histograms:
+        users, P = _fold_histograms(split)
+        if not users:
             raise DataError("fold %d has no trainable users" % split.fold)
-        dropped = sorted(set(int(u) for u in split.test.users) - set(histograms))
+        dropped = sorted(set(int(u) for u in split.test.users) - set(users))
         if dropped:
             print("fold %d: skipping %d user(s) with no training interactions"
                   % (split.fold, len(dropped)), file=sys.stderr)
@@ -283,12 +284,9 @@ def cmd_train(config: ExperimentConfig) -> int:
         cost = build_cost_matrix(genome, split.interacted_items, split.cold_items)
         predictions = {}
         if config.algorithm == "wf":
-            kernel = GibbsKernel.from_cost(cost, config.gamma)
-            for user in sorted(histograms):
-                q = infer_cold(histograms[user], kernel)
+            for user, q in zip(users, infer_cold(P, cost, config.gamma).T):
                 predictions[user] = rank_items(q, split.cold_items)
         else:
-            users = sorted(histograms)
             s = len(split.cold_items)
             n = len(split.interacted_items)
             k = min(config.latent_dim, s, n, len(users))
@@ -298,8 +296,7 @@ def cmd_train(config: ExperimentConfig) -> int:
                       % (split.fold, k, s, n, len(users)), file=sys.stderr)
             opts = TrainOptions(tol=config.tol, max_outer=config.max_outer,
                                 seed=config.seed)
-            model = train_wcf([histograms[u] for u in users], cost, k=k,
-                              gamma=config.gamma, opts=opts, user_ids=users)
+            model = train_wcf(P.T, cost, k=k, gamma=config.gamma, opts=opts, user_ids=users)
             save_model(model, run_dir / "model")
             trace = model.objective_trace
             print("fold %d: objective %.6g -> %.6g over %d half-steps"
@@ -417,12 +414,12 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(_config_from_args(args))
-    except (DataError, FileNotFoundError, ValueError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
     except SolverError as err:
         print("solver failure: %s" % err, file=sys.stderr)
         return 3
+    except (DataError, FileNotFoundError, ValueError) as err:
+        print("error: %s" % err, file=sys.stderr)
+        return 2
 
 
 def app() -> None:

@@ -82,15 +82,10 @@ class InteractionTable:
     def by_user(self) -> dict:
         """Map user id -> (item id array, rating array), users ascending."""
         order = np.lexsort((self.item_ids, self.user_ids))
-        out = {}
-        for k in order:
-            out.setdefault(int(self.user_ids[k]), ([], []))
-            out[int(self.user_ids[k])][0].append(int(self.item_ids[k]))
-            out[int(self.user_ids[k])][1].append(float(self.ratings[k]))
-        return {
-            u: (np.array(items, dtype=np.int64), np.array(vals))
-            for u, (items, vals) in out.items()
-        }
+        users, starts = np.unique(self.user_ids[order], return_index=True)
+        items = np.split(self.item_ids[order], starts[1:])
+        vals = np.split(self.ratings[order], starts[1:])
+        return {int(u): (i, v) for u, i, v in zip(users, items, vals)}
 
 
 def _deduplicate(users, items, ratings, stamps):

@@ -27,6 +27,10 @@ class ConvergenceError(SolverError):
         self.violation = violation
 
 
+class UnboundedDualError(SolverError, ValueError):
+    """Raised when a dual subproblem is unbounded because of the fixed factors it was given."""
+
+
 class RankDeficiencyError(SolverError):
     """Raised when a factor matrix loses full rank and a dual solve is ill-posed.
 

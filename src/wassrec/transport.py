@@ -3,10 +3,10 @@
 Smoothed transport cost between histograms, a matrix-scaling solver
 with automatic log-domain fallback, an exact linear-programming
 reference for test-scale instances, and the Legendre conjugate of the
-smoothed cost in its second marginal (value and gradient).  The
-conjugate gradient is the workhorse of cold-start inference: evaluated
-at g = 0 it pushes a preference histogram through the Gibbs kernel
-onto unseen items.
+smoothed cost in its second marginal (value and gradient), batched over
+users.  The conjugate gradient is the workhorse of cold-start
+inference: evaluated at g = 0 it pushes preference histograms through
+the Gibbs kernel onto unseen items.
 """
 
 from dataclasses import dataclass
@@ -26,6 +26,7 @@ __all__ = [
     "entropy",
     "sinkhorn",
     "exact_ot",
+    "batch_conjugate",
     "conjugate_value",
     "conjugate_grad",
 ]
@@ -163,6 +164,15 @@ class GibbsKernel:
     @cached_property
     def kernel(self) -> np.ndarray:
         return np.exp(self.log_kernel)
+
+    @cached_property
+    def row_shift(self) -> np.ndarray:
+        return self.log_kernel.max(axis=1)
+
+    @cached_property
+    def shifted_kernel(self) -> np.ndarray:
+        """exp(log_kernel - row_shift): every row peaks at exactly 1."""
+        return np.exp(self.log_kernel - self.row_shift[:, None])
 
     @property
     def underflows(self) -> bool:
@@ -360,13 +370,64 @@ def exact_ot(p, q, M, max_cells: int = MAX_EXACT_CELLS) -> TransportPlan:
     )
 
 
-def _check_potential(g, s):
+def _check_histograms(P, n):
+    """Validated n x m matrix of the histograms in P (one per user) and their entropies."""
+    cols = [simplex(p, name="p") for p in P]
+    if not cols:
+        raise ValueError("P must contain at least one user")
+    if any(c.size != n for c in cols):
+        raise ValueError("every preference histogram must have length %d" % n)
+    return np.stack(cols, axis=1), np.array([entropy(c) for c in cols])
+
+
+def batch_conjugate(P, G, kernel: GibbsKernel, entropies, need_grad: bool = True):
+    """Conjugate values (m,) and gradients (s x m, or None) of many users at once.
+
+    Columns of P (n x m) are simplex histograms with entropies h(p_u),
+    trusted here because callers validate P once per solve; columns of G
+    are their potentials.  Kernel rows are shifted by their maxima a_i
+    and each potential column by its maximum, so one product
+    C = K_hat A_hat serves every user and the shifts cancel in the
+    gradient A_hat * K_hat^T (P / C).  Cells of C that fall below the
+    normal float range (a potential's spread over gamma is large) and
+    carry mass are recomputed by log-sum-exp.
+    """
+    gamma = kernel.gamma
+    b = G.max(axis=0)
+    log_A = (G - b) / gamma
+    A = np.exp(log_A)
+    C = kernel.shifted_kernel @ A
+    low = C < _TINY
+    C[low] = np.inf  # leaves these cells out of P / C and the gradient ...
+    grads = A * (kernel.shifted_kernel.T @ (P / C)) if need_grad else None
+    C[low] = 1.0  # ... and out of the values; the repair below adds them
+    values = gamma * (entropies + kernel.row_shift @ P
+                      + np.einsum("ij,ij->j", P, np.log(C, out=C))) + b
+
+    rows, users = np.divmod(np.flatnonzero(low & (P > 0)), P.shape[1])
+    step = max(1, (1 << 20) // G.shape[0])  # repair blocks of at most 8 MB
+    for start in range(0, rows.size, step):
+        i, u = rows[start:start + step], users[start:start + step]
+        logits = kernel.log_kernel[i] - kernel.row_shift[i, None] + log_A[:, u].T
+        lse = logsumexp(logits, axis=1)
+        values += gamma * np.bincount(u, weights=P[i, u] * lse, minlength=values.size)
+        if need_grad:
+            np.add.at(grads.T, u, P[i, u][:, None] * np.exp(logits - lse[:, None]))
+    return values, grads
+
+
+def _one_user(p, g, kernel, need_grad):
+    n, s = kernel.shape
+    P, entropies = _check_histograms([p], n)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (s,):
         raise ValueError("potential must have shape (%d,), got %s" % (s, (g.shape,)))
     if not np.all(np.isfinite(g)):
         raise ValueError("potential has non-finite entries")
-    return g
+    values, grads = batch_conjugate(P, g[:, None], kernel, entropies, need_grad)
+    if not (np.isfinite(values[0]) and (grads is None or np.all(np.isfinite(grads)))):
+        raise SolverError("conjugate is not finite (gamma %g)" % kernel.gamma)
+    return float(values[0]), grads
 
 
 def conjugate_value(p, g, kernel: GibbsKernel) -> float:
@@ -374,36 +435,15 @@ def conjugate_value(p, g, kernel: GibbsKernel) -> float:
 
     For fixed first marginal p, the conjugate of q -> W_gamma(p, q) at
     the dual vector g is gamma * (h(p) + <p, log(K alpha)>) with
-    alpha = exp(g / gamma).  Everything is evaluated through
-    log-sum-exp, so large g / gamma ratios do not overflow.
+    alpha = exp(g / gamma); the one-user case of batch_conjugate, so
+    large g / gamma ratios do not overflow.
     """
-    p = simplex(p, name="p")
-    n, s = kernel.shape
-    if p.size != n:
-        raise ValueError("p has length %d, kernel expects %d" % (p.size, n))
-    g = _check_potential(g, s)
-    log_Kalpha = logsumexp(kernel.log_kernel + g[None, :] / kernel.gamma, axis=1)
-    value = kernel.gamma * (entropy(p) + float(p @ log_Kalpha))
-    if not np.isfinite(value):
-        raise SolverError("conjugate value is not finite (gamma %g)" % kernel.gamma)
-    return value
+    return _one_user(p, g, kernel, need_grad=False)[0]
 
 
 def conjugate_grad(p, g, kernel: GibbsKernel) -> np.ndarray:
     """Gradient of the conjugate: alpha * K^T (p / (K alpha)), a point on the simplex.
 
-    Computed row-stochastically in the log domain: the i-th row of the
-    kernel is normalized by its own log-sum-exp before being mixed with
-    weight p_i, which keeps every intermediate bounded.
+    The one-user case of batch_conjugate.
     """
-    p = simplex(p, name="p")
-    n, s = kernel.shape
-    if p.size != n:
-        raise ValueError("p has length %d, kernel expects %d" % (p.size, n))
-    g = _check_potential(g, s)
-    logits = kernel.log_kernel + g[None, :] / kernel.gamma
-    log_rows = logits - logsumexp(logits, axis=1, keepdims=True)
-    grad = np.exp(log_rows).T @ p
-    if not np.all(np.isfinite(grad)):
-        raise SolverError("conjugate gradient is not finite (gamma %g)" % kernel.gamma)
-    return grad
+    return _one_user(p, g, kernel, need_grad=True)[1][:, 0]

@@ -26,10 +26,9 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
-from .exceptions import RankDeficiencyError, SolverError
-from .transport import CostMatrix, GibbsKernel, entropy, simplex, sinkhorn
+from .exceptions import RankDeficiencyError, SolverError, UnboundedDualError
+from .transport import CostMatrix, GibbsKernel, _check_histograms, batch_conjugate, sinkhorn
 
 __all__ = [
     "TrainOptions",
@@ -46,8 +45,6 @@ __all__ = [
 
 _MIN_STEP = 1e-14
 _STALL_FACTOR = 1e3
-# below this log-kernel floor the one-shot matmul path would underflow
-_BATCH_LOG_FLOOR = -700.0
 # how far the all-ones vector may fall outside the loading row space
 # before the dictionary subproblem is declared unbounded
 _MASS_TOL = 1e-3
@@ -187,37 +184,6 @@ def _clean_histogram(x) -> np.ndarray:
     return x / total
 
 
-def _batch_conjugate(P, G, kernel, entropies, need_grad):
-    """Conjugate values (and gradients) for all users at once.
-
-    P is n x m (histogram columns), G is s x m (potential columns).
-    One shifted matmul against the dense kernel when it cannot
-    underflow, otherwise a per-user log-sum-exp loop.
-    """
-    gamma = kernel.gamma
-    n, s = kernel.shape
-    m = P.shape[1]
-    if kernel.log_kernel.min() > _BATCH_LOG_FLOOR:
-        shift = G.max(axis=0)
-        A = np.exp((G - shift[None, :]) / gamma)
-        C = kernel.kernel @ A
-        logC = np.log(C)
-        values = gamma * (entropies + (P * logC).sum(axis=0)) + shift
-        if not need_grad:
-            return values, None
-        grads = A * (kernel.kernel.T @ (P / C))
-        return values, grads
-    values = np.empty(m)
-    grads = np.empty((s, m)) if need_grad else None
-    for u in range(m):
-        logits = kernel.log_kernel + G[:, u][None, :] / gamma
-        lse = logsumexp(logits, axis=1)
-        values[u] = gamma * (entropies[u] + float(P[:, u] @ lse))
-        if need_grad:
-            grads[:, u] = np.exp(logits - lse[:, None]).T @ P[:, u]
-    return values, grads
-
-
 def _pgd_per_user(P, G0, kernel, entropies, project, opts):
     """Independent projected-gradient descents, one per user, vectorized.
 
@@ -226,7 +192,7 @@ def _pgd_per_user(P, G0, kernel, entropies, project, opts):
     frozen, a stall far from optimality is an error.
     """
     G = project(np.array(G0, dtype=np.float64))
-    vals, grads = _batch_conjugate(P, G, kernel, entropies, True)
+    vals, grads = batch_conjugate(P, G, kernel, entropies, True)
     for _ in range(opts.max_inner):
         PG = project(grads)
         norms2 = (PG * PG).sum(axis=0)
@@ -245,7 +211,7 @@ def _pgd_per_user(P, G0, kernel, entropies, project, opts):
         while not accepted.all():
             rem = np.flatnonzero(~accepted)
             cand = Gact[:, rem] - t[rem][None, :] * dirs[:, rem]
-            cvals, _ = _batch_conjugate(Pact[:, rem], cand, kernel, Hact[rem], False)
+            cvals, _ = batch_conjugate(Pact[:, rem], cand, kernel, Hact[rem], False)
             ok = cvals <= base[rem] - opts.armijo_c * t[rem] * n2[rem]
             new_G[:, rem[ok]] = cand[:, ok]
             accepted[rem[ok]] = True
@@ -263,14 +229,14 @@ def _pgd_per_user(P, G0, kernel, entropies, project, opts):
                 accepted[stuck] = True  # negligible gradient: keep the iterate
         G[:, idx] = new_G
         G = project(G)
-        vals, grads = _batch_conjugate(P, G, kernel, entropies, True)
+        vals, grads = batch_conjugate(P, G, kernel, entropies, True)
     return G, vals, grads
 
 
 def _pgd_joint(P, G0, kernel, entropies, project, opts):
     """Projected gradient descent on the summed conjugate objective."""
     G = project(np.array(G0, dtype=np.float64))
-    vals, grads = _batch_conjugate(P, G, kernel, entropies, True)
+    vals, grads = batch_conjugate(P, G, kernel, entropies, True)
     total = float(vals.sum())
     for _ in range(opts.max_inner):
         PG = project(grads)
@@ -281,7 +247,7 @@ def _pgd_joint(P, G0, kernel, entropies, project, opts):
         stalled = False
         while True:
             cand = G - t * PG
-            cvals, _ = _batch_conjugate(P, cand, kernel, entropies, False)
+            cvals, _ = batch_conjugate(P, cand, kernel, entropies, False)
             if float(cvals.sum()) <= total - opts.armijo_c * t * n2:
                 G = project(cand)
                 break
@@ -297,21 +263,9 @@ def _pgd_joint(P, G0, kernel, entropies, project, opts):
                 break
         if stalled:
             break
-        vals, grads = _batch_conjugate(P, G, kernel, entropies, True)
+        vals, grads = batch_conjugate(P, G, kernel, entropies, True)
         total = float(vals.sum())
     return G, vals, grads
-
-
-def _check_P(P, kernel):
-    cols = [simplex(p, name="p") for p in P]
-    n = kernel.shape[0]
-    if any(c.size != n for c in cols):
-        raise ValueError("every preference histogram must have length %d" % n)
-    if not cols:
-        raise ValueError("P must contain at least one user")
-    mat = np.stack(cols, axis=1)
-    ents = np.array([entropy(c) for c in cols])
-    return mat, ents
 
 
 def _primal_objective(D, lam, P_mat, kernel, opts):
@@ -348,7 +302,7 @@ def lambda_step(D, P, kernel: GibbsKernel, opts: TrainOptions | None = None,
     rank = np.linalg.matrix_rank(D)
     if rank < k:
         raise RankDeficiencyError("dictionary", int(rank), k)
-    P_mat, ents = _check_P(P, kernel)
+    P_mat, ents = _check_histograms(P, kernel.shape[0])
     m = P_mat.shape[1]
     if kernel.shape[1] != s:
         raise ValueError("dictionary rows %d do not match kernel columns %d"
@@ -386,7 +340,7 @@ def d_step(lam, P, kernel: GibbsKernel, opts: TrainOptions | None = None,
     rank = np.linalg.matrix_rank(lam)
     if rank < k:
         raise RankDeficiencyError("loadings", int(rank), k)
-    P_mat, ents = _check_P(P, kernel)
+    P_mat, ents = _check_histograms(P, kernel.shape[0])
     if P_mat.shape[1] != m:
         raise ValueError("loadings cover %d users but P has %d" % (m, P_mat.shape[1]))
     s = kernel.shape[1]
@@ -399,7 +353,7 @@ def d_step(lam, P, kernel: GibbsKernel, opts: TrainOptions | None = None,
     ones = np.ones(m)
     mass_gap = float(np.abs(ones - QL @ (QL.T @ ones)).max())
     if mass_gap > _MASS_TOL:
-        raise ValueError(
+        raise UnboundedDualError(
             "loadings cannot reproduce unit-mass predictions "
             "(residual %g); the dictionary subproblem is unbounded" % mass_gap
         )
@@ -441,7 +395,7 @@ def train_wcf(P, M, k: int, gamma: float = 0.05,
     else:
         kernel = GibbsKernel.from_cost(M, gamma)
         item_ids = tuple(range(kernel.shape[1]))
-    P_mat, _ = _check_P(P, kernel)
+    P_mat, _ = _check_histograms(P, kernel.shape[0])
     m = P_mat.shape[1]
     s = kernel.shape[1]
     if user_ids is None:

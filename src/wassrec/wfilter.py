@@ -4,14 +4,14 @@ A user's history over interacted items becomes a preference histogram;
 pushing it through the Gibbs kernel of the interacted-to-cold cost
 matrix yields a histogram over the cold items in closed form, which is
 then ranked.  The inference step is exactly the conjugate gradient at
-a zero potential, so it shares that code path.
+a zero potential, so it shares that code path, batched over users.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import GibbsKernel, conjugate_grad, simplex
+from .transport import GibbsKernel, _check_histograms, batch_conjugate, simplex
 
 __all__ = [
     "UserInteractions",
@@ -95,6 +95,8 @@ def estimate_preference(interactions: UserInteractions, n_items: int) -> np.ndar
 def infer_cold(p, M, gamma: float | None = None) -> np.ndarray:
     """Closed-form cold-start histogram K^T (p / K 1) over the cold items.
 
+    ``p`` is one histogram over the interacted items, or an (n, m) stack
+    of them, one user per column, giving an (s, m) stack of results.
     ``M`` is a cost matrix (interacted rows, cold columns) with
     smoothing ``gamma``, or an already-built GibbsKernel, in which case
     ``gamma`` must be omitted.  The result is the conjugate gradient at
@@ -109,7 +111,10 @@ def infer_cold(p, M, gamma: float | None = None) -> np.ndarray:
         if gamma is None:
             raise ValueError("gamma is required when M is a cost matrix")
         kernel = GibbsKernel.from_cost(M, gamma)
-    return conjugate_grad(p, np.zeros(kernel.shape[1]), kernel)
+    p = np.asarray(p, dtype=np.float64)
+    P, entropies = _check_histograms(p.T if p.ndim == 2 else [p], kernel.shape[0])
+    Q = batch_conjugate(P, np.zeros((kernel.shape[1], P.shape[1])), kernel, entropies)[1]
+    return Q if p.ndim == 2 else Q[:, 0]
 
 
 def rank_items(q, item_ids) -> RankedList:

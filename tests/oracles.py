@@ -7,6 +7,7 @@ and a bug in the oracle are unlikely to coincide.
 """
 
 import numpy as np
+from scipy.special import logsumexp
 
 
 def simplex_grid(s, step, interior=False):
@@ -43,10 +44,11 @@ def simplex_grid(s, step, interior=False):
 def entropic_value_many(p, Q, M, gamma, tol=1e-9, max_iter=100_000):
     """Entropy-smoothed transport value W_gamma(p, q) for every column q of Q.
 
-    Plain scaling updates, one problem per column, with converged
-    columns frozen out of the iteration.  Requires a strictly positive
-    first marginal; columns of Q may touch the simplex boundary.  The
-    value is read off the optimal scalings as
+    Plain scaling updates, one problem per column.  A column's value is
+    recorded the iteration it converges; converged columns are dropped
+    from the iteration once they make up half of it.  Requires a
+    strictly positive first marginal; columns of Q may touch the simplex
+    boundary.  The value is read off the optimal scalings as
     gamma * (<log u, p> + <log v, q>).
     """
     p = np.asarray(p, dtype=np.float64)
@@ -62,6 +64,7 @@ def entropic_value_many(p, Q, M, gamma, tol=1e-9, max_iter=100_000):
 
     values = np.full(m, np.nan)
     active = np.arange(m)
+    pending = np.ones(m, dtype=bool)  # per active column: value not yet recorded
     Qa = Q.copy()
     U = np.full((n, m), 1.0)
     KTU = K.T @ U
@@ -72,21 +75,23 @@ def entropic_value_many(p, Q, M, gamma, tol=1e-9, max_iter=100_000):
         KTU = K.T @ U
         colmass = V * KTU
         viol = np.abs(colmass - Qa).max(axis=0)
-        done = viol < tol
+        done = pending & (viol < tol)
         if np.any(done):
             Ud, Vd, Cd = U[:, done], V[:, done], colmass[:, done]
             logv = np.log(np.where(Vd > 0, Vd, 1.0))
             values[active[done]] = gamma * (
                 (np.log(Ud) * p[:, None]).sum(axis=0) + (logv * Cd).sum(axis=0)
             )
-            keep = ~done
-            if not np.any(keep):
+            pending &= ~done
+            if not np.any(pending):
                 return values
-            active, Qa = active[keep], Qa[:, keep]
-            U, V, KTU = U[:, keep], V[:, keep], KTU[:, keep]
+            if 2 * np.count_nonzero(pending) <= pending.size:
+                active, Qa = active[pending], Qa[:, pending]
+                U, V, KTU = U[:, pending], V[:, pending], KTU[:, pending]
+                pending = pending[pending]
     raise RuntimeError(
         "oracle: %d of %d columns unconverged after %d iterations"
-        % (active.size, m, max_iter)
+        % (np.count_nonzero(pending), m, max_iter)
     )
 
 
@@ -95,3 +100,23 @@ def entropic_value(p, q, M, gamma, tol=1e-9, max_iter=100_000):
     return float(
         entropic_value_many(p, np.asarray(q, float)[:, None], M, gamma, tol, max_iter)[0]
     )
+
+
+def conjugate_lse(p, g, M, gamma):
+    """Conjugate value and gradient for one user by direct log-sum-exp.
+
+    value = gamma * (h(p) + <p, lse_j((g_j - M_ij) / gamma)>) and the
+    gradient mixes the rows' softmax weights by p.  Also returns, per
+    row, the log of the row's sum once the kernel row and the potential
+    are each shifted to peak at 1: below log(tiny), a product of the
+    shifted factors underflows.
+    """
+    logits = (g[None, :] - M) / gamma
+    lse = logsumexp(logits, axis=1)
+    h = float(-(p * np.log(np.where(p > 0, p, 1.0))).sum())
+    value = gamma * (h + p @ lse)
+    grad = np.exp(logits - lse[:, None]).T @ p
+    log_K = -M / gamma
+    shifted = logsumexp(log_K - log_K.max(axis=1, keepdims=True)
+                        + (g - g.max())[None, :] / gamma, axis=1)
+    return value, grad, shifted

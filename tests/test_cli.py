@@ -7,6 +7,7 @@ import wassrec.cli as cli
 from wassrec import (
     GibbsKernel,
     SolverError,
+    UnboundedDualError,
     average_precision,
     build_cost_matrix,
     cold_start_split,
@@ -113,7 +114,8 @@ class TestTrain:
 
     def test_wf_predictions_equal_library_calls(self, pipeline_out):
         # the CLI is a thin shell: fold 0's file must reproduce direct
-        # library inference on the same split, scores included
+        # library inference on the same split, scores included; the
+        # batched inference it runs agrees with per-user calls to 1e-12
         table = load_interactions(pipeline_out / "prepared" / "interactions.tsv")
         genome = load_genome(pipeline_out / "prepared" / "genome.csv")
         split = cold_start_split(table, ratio="3:1", seed=0)[0]
@@ -121,12 +123,18 @@ class TestTrain:
         kernel = GibbsKernel.from_cost(cost, 0.05)
 
         interacted = np.asarray(split.interacted_items)
-        expected = {}
+        histograms = {}
         for user, (items, vals) in split.train.by_user().items():
             p = np.zeros(interacted.size)
             p[np.searchsorted(interacted, items)] = vals
-            p /= p.sum()
-            expected[user] = rank_items(infer_cold(p, kernel), split.cold_items)
+            histograms[user] = p / p.sum()
+        users = sorted(histograms)
+        Q = infer_cold(np.stack([histograms[u] for u in users], axis=1), kernel)
+        expected = {}
+        for user, q in zip(users, Q.T):
+            np.testing.assert_allclose(q, infer_cold(histograms[user], kernel),
+                                       rtol=0, atol=1e-12)
+            expected[user] = rank_items(q, split.cold_items)
 
         path = pipeline_out / "runs" / "wf" / "fold0" / "predictions.tsv"
         got = {}
@@ -189,6 +197,20 @@ class TestTrain:
             raise SolverError("summoned for the test")
 
         monkeypatch.setattr(cli, "train_wcf", boom)
+        rc = main(["train", "--algorithm", "wcf", "--out", str(out)])
+        assert rc == 3
+        assert "solver failure" in capsys.readouterr().err
+
+    def test_unbounded_dual_is_a_solver_failure(self, tmp_path, monkeypatch, capsys):
+        # also a ValueError, which alone would map to exit 2
+        out = tmp_path / "o"
+        assert main(["prepare", "--ratings", RATINGS, "--genome", GENOME,
+                     "--out", str(out)]) == 0
+
+        def unbounded(*args, **kwargs):
+            raise UnboundedDualError("summoned for the test")
+
+        monkeypatch.setattr(cli, "train_wcf", unbounded)
         rc = main(["train", "--algorithm", "wcf", "--out", str(out)])
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from wassrec import (
     ConvergenceError,
     CostMatrix,
     GibbsKernel,
+    batch_conjugate,
     conjugate_grad,
     conjugate_value,
     entropy,
@@ -16,7 +17,7 @@ from wassrec import (
     simplex,
     sinkhorn,
 )
-from oracles import entropic_value, entropic_value_many, simplex_grid
+from oracles import conjugate_lse, entropic_value, entropic_value_many, simplex_grid
 
 
 class TestSimplex:
@@ -354,3 +355,36 @@ class TestConjugateGrad:
         full = conjugate_grad([0.0, 0.3, 0.7], np.zeros(4), k)
         sub = conjugate_grad([0.3, 0.7], np.zeros(4), GibbsKernel(M[1:], 0.1))
         np.testing.assert_allclose(full, sub, atol=1e-15)
+
+
+class TestBatchConjugate:
+    def test_matches_per_user_log_sum_exp(self):
+        # gamma down to 1e-3, histograms with zero entries, and cost and
+        # potential spreads up to 2000 gamma, wide enough that shifted
+        # products underflow and the log-sum-exp repair has to run
+        log_tiny = math.log(np.finfo(np.float64).tiny)
+        repaired = []
+
+        @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 0.0))
+        @settings(max_examples=200, deadline=None)
+        def check(seed, log_gamma):
+            rng = np.random.default_rng(seed)
+            n, s, m = (int(v) for v in rng.integers(1, 7, size=3))
+            gamma = 10.0 ** log_gamma
+            cost_spread, potential_spread = rng.uniform(0.0, 2000.0, size=2) * gamma
+            M = rng.uniform(size=(n, s)) * cost_spread
+            G = rng.uniform(-0.5, 0.5, size=(s, m)) * potential_spread
+            P = rng.dirichlet(np.ones(n), size=m).T
+            P[rng.uniform(size=P.shape) < 0.3] = 0.0
+            P[0, P.sum(axis=0) == 0] = 1.0
+            P /= P.sum(axis=0)
+            entropies = np.array([entropy(P[:, u]) for u in range(m)])
+            values, grads = batch_conjugate(P, G, GibbsKernel(M, gamma), entropies)
+            for u in range(m):
+                value, grad, shifted = conjugate_lse(P[:, u], G[:, u], M, gamma)
+                assert abs(values[u] - value) <= 1e-12 * max(1.0, abs(value))
+                np.testing.assert_allclose(grads[:, u], grad, rtol=0, atol=1e-12)
+                repaired.append(int(np.sum((shifted < log_tiny - 1) & (P[:, u] > 0))))
+
+        check()
+        assert sum(repaired) > 0

@@ -6,6 +6,8 @@ import wassrec.wcf as wcf
 from wassrec import (
     GibbsKernel,
     RankDeficiencyError,
+    UnboundedDualError,
+    batch_conjugate,
     entropy,
     infer_cold,
     sinkhorn,
@@ -67,7 +69,7 @@ class TestBatchConjugate:
         P = np.stack([rng.dirichlet(np.ones(4)) for _ in range(6)], axis=1)
         G = rng.normal(scale=0.3, size=(3, 6))
         ents = np.array([entropy(P[:, u]) for u in range(6)])
-        vals, grads = wcf._batch_conjugate(P, G, kernel, ents, True)
+        vals, grads = batch_conjugate(P, G, kernel, ents)
         for u in range(6):
             np.testing.assert_allclose(
                 grads[:, u], conj_grad_single(P[:, u], G[:, u], M, 0.1), atol=1e-12
@@ -76,18 +78,19 @@ class TestBatchConjugate:
                 float(conj_values_grid(P[:, u], G[:, u][:, None], M, 0.1)[0]), abs=1e-12
             )
 
-    def test_underflow_fallback_agrees(self):
-        # min(-M/gamma) < -700 underflows the dense kernel, forcing the
-        # per-user log-sum-exp loop; check it against direct formulas
+    def test_underflowing_kernel_agrees(self):
+        # exp(-M/gamma) underflows below the normal float range; the
+        # row shift keeps the batched product exact, check it against
+        # direct formulas
         rng = np.random.default_rng(11)
         M = rng.uniform(70, 80, size=(3, 3))
         gamma = 0.1
         kernel = GibbsKernel(M, gamma)
-        assert kernel.log_kernel.min() < wcf._BATCH_LOG_FLOOR
+        assert kernel.underflows
         P = np.stack([rng.dirichlet(np.ones(3)) for _ in range(4)], axis=1)
         G = rng.normal(scale=0.5, size=(3, 4))
         ents = np.array([entropy(P[:, u]) for u in range(4)])
-        vals, grads = wcf._batch_conjugate(P, G, kernel, ents, True)
+        vals, grads = batch_conjugate(P, G, kernel, ents)
         assert np.all(np.isfinite(vals))
         for u in range(4):
             np.testing.assert_allclose(
@@ -252,6 +255,11 @@ class TestDStep:
         with pytest.raises(ValueError, match="unit-mass"):
             d_step(lam, [np.array([0.5, 0.5])] * 2, kernel)
 
+    def test_unbounded_dictionary_is_a_solver_error(self):
+        kernel = GibbsKernel(np.ones((2, 2)), 0.1)
+        with pytest.raises(UnboundedDualError):
+            d_step(np.array([[1.0, 2.0]]), [np.array([0.5, 0.5])] * 2, kernel)
+
 
 class TestTrainWcf:
     def test_full_rank_matches_closed_form(self):
@@ -402,8 +410,8 @@ class TestDualityEndToEnd:
                      tol=1e-10, max_iter=100_000).regularized_value
             for u in range(m)
         )
-        vals, _ = wcf._batch_conjugate(
+        vals, _ = batch_conjugate(
             np.stack(P, axis=1), state.potentials, kernel,
-            np.array([entropy(p) for p in P]), False,
+            np.array([entropy(p) for p in P]), need_grad=False,
         )
         assert primal == pytest.approx(float(-vals.sum()), abs=1e-6)
