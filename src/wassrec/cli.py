@@ -7,9 +7,11 @@ to the WASSREC_OUT environment variable, then ./wassrec-out):
   without content vectors, and write the filtered tables plus a stats
   record under <out>/prepared/.
 * train: build the cold-start splits, fit wf or wcf per fold, and write
-  ranked predictions (and wcf model directories) under <out>/runs/.
+  ranked predictions (and wcf model directories) under <out>/runs/:
+  each user's cold items by score descending, ties to the smaller id.
 * evaluate: score every run against the held-out cold interactions and
-  write per-user and summary tables under <out>/reports/.
+  write per-user and summary tables under <out>/reports/.  Each user in
+  a prediction file must rank exactly the fold's cold items.
 
 Every file the pipeline writes is deterministic for a fixed config,
 seed and BLAS thread count: reruns are byte-identical.  Exit codes:
@@ -21,6 +23,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +42,8 @@ from .dataio import (
 )
 from .exceptions import DataError, SolverError
 from .metrics import evaluate_run, write_report_files
-from .wcf import TrainOptions, predict_user, save_model, train_wcf
-from .wfilter import UserInteractions, estimate_preference, infer_cold, rank_items
+from .wcf import TrainOptions, _clean_histogram, save_model, train_wcf
+from .wfilter import infer_cold, rank_order
 
 __all__ = ["ExperimentConfig", "main", "app", "build_parser"]
 
@@ -204,16 +207,12 @@ def cmd_prepare(config: ExperimentConfig) -> int:
     prepared.mkdir(parents=True, exist_ok=True)
 
     order = np.lexsort((table.timestamps, table.item_ids, table.user_ids))
-    with open(prepared / "interactions.tsv", "w", encoding="utf-8") as fh:
-        for i in order:
-            fh.write("%d\t%d\t%.17g\t%d\n" % (table.user_ids[i], table.item_ids[i],
-                                              table.ratings[i], table.timestamps[i]))
-
-    with open(prepared / "genome.csv", "w", encoding="utf-8") as fh:
-        fh.write("movieId,tagId,relevance\n")
-        for i, item in enumerate(genome.item_ids):
-            for j, tag in enumerate(genome.tag_ids):
-                fh.write("%d,%d,%.17g\n" % (item, tag, genome.relevance[i, j]))
+    _write_table(prepared / "interactions.tsv", "", "%d\t%d\t%.17g\t%d\n",
+                 *(col[order] for col in (table.user_ids, table.item_ids,
+                                          table.ratings, table.timestamps)))
+    _write_table(prepared / "genome.csv", "movieId,tagId,relevance\n", "%d,%d,%.17g\n",
+                 np.repeat(genome.item_ids, genome.tag_ids.size),
+                 np.tile(genome.tag_ids, genome.item_ids.size), genome.relevance.ravel())
 
     n_users = int(table.users.size)
     n_items = int(table.items.size)
@@ -235,28 +234,25 @@ def cmd_prepare(config: ExperimentConfig) -> int:
 def _fold_histograms(split):
     """Trainable users, ascending, and their preference histograms as columns.
 
-    Histograms are over the fold's interacted items.  Users whose every
-    interaction fell on cold items have no training signal and are left
-    out (the caller reports them).
+    Histograms are over the fold's interacted items, scaled to mass 1
+    (the solvers validate every column).  Users whose every interaction
+    fell on cold items have no training signal and are left out.
     """
+    users, column = np.unique(split.train.user_ids, return_inverse=True)
     interacted = np.asarray(split.interacted_items, dtype=np.int64)
-    by_user = split.train.by_user()
-    P = np.empty((interacted.size, len(by_user)))
-    for u, (user, (items, vals)) in enumerate(by_user.items()):
-        idx = np.searchsorted(interacted, items)
-        ui = UserInteractions(user_id=user, item_indices=idx, values=vals)
-        P[:, u] = estimate_preference(ui, interacted.size)
-    return list(by_user), P
+    H = np.zeros((users.size, interacted.size))
+    H[column, np.searchsorted(interacted, split.train.item_ids)] = split.train.ratings
+    H /= H.sum(axis=1, keepdims=True)
+    return users.tolist(), H.T
 
 
-def _write_predictions(path, predictions) -> None:
+def _write_table(path, header, fmt, *columns, block=1 << 14) -> None:
+    """Write ``header``, then aligned columns as lines of ``fmt``, one % per block of rows."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(PREDICTION_HEADER + "\n")
-        for user in sorted(predictions):
-            ranked = predictions[user]
-            for rank, (item, score) in enumerate(
-                    zip(ranked.item_ids, ranked.scores), start=1):
-                fh.write("%d\t%d\t%d\t%.17g\n" % (user, rank, item, score))
+        fh.write(header)
+        for start in range(0, len(columns[0]), block):
+            rows = list(zip(*(col[start:start + block].tolist() for col in columns)))
+            fh.write(fmt * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def cmd_train(config: ExperimentConfig) -> int:
@@ -282,13 +278,10 @@ def cmd_train(config: ExperimentConfig) -> int:
                   % (split.fold, len(dropped)), file=sys.stderr)
 
         cost = build_cost_matrix(genome, split.interacted_items, split.cold_items)
-        predictions = {}
+        s, n = len(split.cold_items), len(split.interacted_items)
         if config.algorithm == "wf":
-            for user, q in zip(users, infer_cold(P, cost, config.gamma).T):
-                predictions[user] = rank_items(q, split.cold_items)
+            Q = infer_cold(P, cost, config.gamma)
         else:
-            s = len(split.cold_items)
-            n = len(split.interacted_items)
             k = min(config.latent_dim, s, n, len(users))
             if k < config.latent_dim:
                 print("fold %d: latent dim clamped to %d (%d cold items, "
@@ -301,42 +294,48 @@ def cmd_train(config: ExperimentConfig) -> int:
             trace = model.objective_trace
             print("fold %d: objective %.6g -> %.6g over %d half-steps"
                   % (split.fold, trace[0], trace[-1], len(trace) - 1))
-            for user in users:
-                predictions[user] = rank_items(predict_user(model, user),
-                                               split.cold_items)
+            Q = _clean_histogram(model.dictionary @ model.loadings)
 
-        _write_predictions(run_dir / "predictions.tsv", predictions)
+        # one block per user, ascending: every cold item by rank, best first
+        order = rank_order(Q, split.cold_items)
+        _write_table(run_dir / "predictions.tsv", PREDICTION_HEADER + "\n",
+                     "%d\t%d\t%d\t%.17g\n", np.repeat(users, s),
+                     np.tile(np.arange(1, s + 1), len(users)),
+                     np.asarray(split.cold_items)[order.T].ravel(),
+                     np.take_along_axis(Q, order, axis=0).T.ravel(), block=s)
         print("fold %d: wrote %d rankings -> %s"
-              % (split.fold, len(predictions), run_dir / "predictions.tsv"))
+              % (split.fold, len(users), run_dir / "predictions.tsv"))
+        del Q, order  # not held through the next fold's solve
     return 0
 
 
 def _read_predictions(path):
-    """Parse a predictions file back into user -> ranked item ids."""
-    rows = {}
+    """Parse a predictions file back into user -> item ids in rank order."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != PREDICTION_HEADER:
             raise DataError("%s: unexpected header %r" % (path, header))
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise DataError("%s line %d: expected 4 fields" % (path, lineno))
-            try:
-                user, rank, item = int(parts[0]), int(parts[1]), int(parts[2])
-                float(parts[3])
-            except ValueError:
-                raise DataError("%s line %d: malformed row" % (path, lineno))
-            rows.setdefault(user, []).append((rank, item))
-    predictions = {}
-    for user, pairs in rows.items():
-        pairs.sort()
-        if [r for r, _ in pairs] != list(range(1, len(pairs) + 1)):
-            raise DataError("%s: user %d has non-contiguous ranks" % (path, user))
-        predictions[user] = tuple(item for _, item in pairs)
-    if not predictions:
-        raise DataError("%s contains no predictions" % path)
-    return predictions
+        start, last = fh.tell(), "\n"
+        for chunk in iter(lambda: fh.read(1 << 20), ""):
+            if "\n\n" in last + chunk:  # np.loadtxt would skip blank lines
+                raise DataError("%s: blank line" % path)
+            last = chunk[-1]
+        if fh.tell() == start:
+            raise DataError("%s contains no predictions" % path)
+        fh.seek(start)
+        try:
+            rows = np.loadtxt(fh, delimiter="\t", comments=None, ndmin=1, dtype=[
+                ("user", np.int64), ("rank", np.int64), ("item", np.int64), ("score", float)])
+        except ValueError as err:
+            raise DataError("%s: malformed row: %s" % (path, err)) from None
+    rows = rows[np.lexsort((rows["rank"], rows["user"]))]
+    users, first, counts = np.unique(rows["user"], return_index=True, return_counts=True)
+    gaps = rows["rank"] != np.arange(rows.size) - np.repeat(first, counts) + 1
+    if gaps.any():
+        raise DataError("%s: user %d has non-contiguous ranks"
+                        % (path, rows["user"][gaps.argmax()]))
+    ranked = np.split(rows["item"], first[1:])
+    return {user: items.tolist() for user, items in zip(users.tolist(), ranked)}
 
 
 def cmd_evaluate(config: ExperimentConfig) -> int:
@@ -356,45 +355,35 @@ def cmd_evaluate(config: ExperimentConfig) -> int:
 
     summary_rows = []
     for algo in algorithms:
-        reports = []
-        dropped_counts = []
+        reports, rows = [], []
         for fold_info in manifest["folds"]:
             fold = fold_info["fold"]
             pred_path = runs_dir / algo / ("fold%d" % fold) / "predictions.tsv"
             predictions = _read_predictions(pred_path)
-            test_full = table.restrict_items(fold_info["cold"])
-            evaluable = set(int(u) for u in test_full.users)
-            dropped = sorted(evaluable - set(predictions))
-            test = test_full.restrict_users(sorted(predictions))
-            report = evaluate_run(predictions, test, scope=config.scope, fold=fold)
-            reports.append(report)
-            dropped_counts.append(len(dropped))
+            cold = set(fold_info["cold"])
+            for user, items in predictions.items():
+                if len(items) != len(cold) or set(items) != cold:
+                    raise DataError("%s: user %d does not rank exactly the fold's %d "
+                                    "cold items" % (pred_path, user, len(cold)))
+            test = table.restrict_items(cold)
+            dropped = len(set(test.users.tolist()) - set(predictions))
             if dropped:
                 print("%s fold %d: %d evaluable user(s) had no predictions"
-                      % (algo, fold, len(dropped)), file=sys.stderr)
+                      % (algo, fold, dropped), file=sys.stderr)
+            r = evaluate_run(predictions, test.restrict_users(predictions),
+                             scope=config.scope, fold=fold)
+            reports.append(r)
+            rows.append((algo, str(fold), config.scope, r.evaluated_user_count,
+                         r.excluded_user_count, dropped, r.mean_ap, r.mean_ndcg, r.mean_recall))
 
         rep_dir = out / "reports" / algo
         rep_dir.mkdir(parents=True, exist_ok=True)
         write_report_files(reports, rep_dir / "per_user.tsv", rep_dir / "summary.tsv")
-        for report, n_dropped in zip(reports, dropped_counts):
-            summary_rows.append((algo, str(report.fold), report.scope,
-                                 report.evaluated_user_count,
-                                 report.excluded_user_count, n_dropped,
-                                 report.mean_ap, report.mean_ndcg,
-                                 report.mean_recall))
-        n = len(reports)
-        summary_rows.append((
-            algo, "mean", config.scope,
-            sum(r.evaluated_user_count for r in reports),
-            sum(r.excluded_user_count for r in reports),
-            sum(dropped_counts),
-            sum(r.mean_ap for r in reports) / n,
-            sum(r.mean_ndcg for r in reports) / n,
-            sum(r.mean_recall for r in reports) / n,
-        ))
+        cols, n = list(zip(*rows)), len(rows)
+        mean = (algo, "mean", config.scope, *map(sum, cols[3:6]), *(sum(c) / n for c in cols[6:]))
+        summary_rows += rows + [mean]
         print("%s: MAP %.4f  NDCG@%d %.4f  Recall@%d %.4f (mean over %d folds)"
-              % (algo, summary_rows[-1][6], config.scope, summary_rows[-1][7],
-                 config.scope, summary_rows[-1][8], n))
+              % (algo, mean[6], config.scope, mean[7], config.scope, mean[8], n))
 
     # one comparative table: per-fold rows plus a mean row per algorithm
     # (metric columns are unweighted fold means, count columns are totals)

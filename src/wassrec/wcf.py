@@ -176,10 +176,10 @@ def init_factors(n_cold: int, n_users: int, k: int, seed: int = 0):
 
 
 def _clean_histogram(x) -> np.ndarray:
-    """Clip negative coordinates to zero and renormalize."""
+    """Clip negative coordinates to zero and renormalize each column."""
     x = np.clip(np.asarray(x, dtype=np.float64), 0.0, None)
-    total = x.sum()
-    if total <= 0 or not np.isfinite(total):
+    total = x.sum(axis=0)
+    if not np.all((total > 0) & np.isfinite(total)):
         raise SolverError("factor column has no positive mass to normalize")
     return x / total
 

@@ -19,6 +19,7 @@ __all__ = [
     "estimate_preference",
     "infer_cold",
     "rank_items",
+    "rank_order",
 ]
 
 
@@ -117,16 +118,26 @@ def infer_cold(p, M, gamma: float | None = None) -> np.ndarray:
     return Q if p.ndim == 2 else Q[:, 0]
 
 
+def rank_order(Q, item_ids) -> np.ndarray:
+    """Row indices that sort each column of an (s, m) score stack, best first.
+
+    Exact ties go to the smaller of the rows' ``item_ids``, which may be
+    any duplicate-free sortable values (numbers, strings).
+    """
+    Q = np.asarray(Q, dtype=np.float64)
+    unique, tie = np.unique(np.fromiter(item_ids, dtype=object), return_inverse=True)
+    if Q.ndim != 2 or Q.shape[0] != tie.size:
+        raise ValueError("scores must be an (s, m) stack aligned with the s item_ids")
+    if unique.size != tie.size:
+        raise ValueError("item_ids must be duplicate-free")
+    return np.lexsort((np.broadcast_to(tie[:, None], Q.shape), -Q), axis=0)
+
+
 def rank_items(q, item_ids) -> RankedList:
     """Sort cold items by score, breaking exact ties by ascending item id."""
     q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 1:
+        raise ValueError("scores must be a 1-D sequence")
     ids = list(item_ids)
-    if q.ndim != 1 or len(ids) != q.size:
-        raise ValueError("scores and item_ids must be aligned 1-D sequences")
-    if len(set(ids)) != len(ids):
-        raise ValueError("item_ids must be duplicate-free")
-    order = sorted(range(q.size), key=lambda j: (-q[j], ids[j]))
-    return RankedList(
-        item_ids=tuple(ids[j] for j in order),
-        scores=tuple(float(q[j]) for j in order),
-    )
+    order = rank_order(q[:, None], ids)[:, 0]
+    return RankedList(item_ids=tuple(ids[j] for j in order), scores=q[order])

@@ -120,3 +120,11 @@ def conjugate_lse(p, g, M, gamma):
     shifted = logsumexp(log_K - log_K.max(axis=1, keepdims=True)
                         + (g - g.max())[None, :] / gamma, axis=1)
     return value, grad, shifted
+
+
+def rank_by_key(q, ids):
+    """Positions of the scores q, best first, exact ties by ascending id.
+
+    A plain key sort over (-score, id), one comparison at a time.
+    """
+    return sorted(range(len(ids)), key=lambda j: (-q[j], ids[j]))

@@ -1,10 +1,13 @@
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
 
 import wassrec.cli as cli
 from wassrec import (
+    DataError,
     GibbsKernel,
     SolverError,
     UnboundedDualError,
@@ -14,7 +17,9 @@ from wassrec import (
     infer_cold,
     load_genome,
     load_interactions,
+    load_model,
     ndcg_at,
+    predict_user,
     rank_items,
     recall_at,
 )
@@ -146,6 +151,27 @@ class TestTrain:
             assert [r for r, _, _ in rows] == list(range(1, len(rows) + 1))
             assert tuple(i for _, i, _ in rows) == expected[user].item_ids
             assert tuple(s for _, _, s in rows) == expected[user].scores
+
+    def test_wcf_predictions_equal_library_calls(self, pipeline_out):
+        # fold 0's file ranks each user as predict_user on the saved model
+        # does; one D Lambda product per fold and per-user products may
+        # differ in the last bits, so scores agree to 1e-12
+        table = load_interactions(pipeline_out / "prepared" / "interactions.tsv")
+        split = cold_start_split(table, ratio="3:1", seed=0)[0]
+        run = pipeline_out / "runs" / "wcf" / "fold0"
+        model = load_model(run / "model")
+
+        got = {}
+        for line in (run / "predictions.tsv").read_text().splitlines()[1:]:
+            user, rank, item, score = line.split("\t")
+            got.setdefault(int(user), []).append((int(rank), int(item), float(score)))
+        assert set(got) == set(model.user_ids)
+        for user, rows in got.items():
+            expected = rank_items(predict_user(model, user), split.cold_items)
+            assert [r for r, _, _ in rows] == list(range(1, len(rows) + 1))
+            assert tuple(i for _, i, _ in rows) == expected.item_ids
+            np.testing.assert_allclose([s for _, _, s in rows], expected.scores,
+                                       rtol=0, atol=1e-12)
 
     def test_split_manifest_written(self, pipeline_out):
         manifest = json.loads((pipeline_out / "splits" / "manifest.json").read_text())
@@ -282,6 +308,69 @@ class TestEvaluate:
         rc = main(["evaluate", "--out", str(tmp_path / "void")])
         assert rc == 2
         assert "manifest.json" in capsys.readouterr().err
+
+
+VALID_ROWS = ["1\t1\t10\t0.5", "1\t2\t20\t0.25", "2\t1\t20\t0.75", "2\t2\t10\t0.125"]
+
+
+def write_predictions(path, rows, header=cli.PREDICTION_HEADER):
+    path.write_text("".join(line + "\n" for line in [header, *rows]))
+    return path
+
+
+class TestReadPredictions:
+    def test_parses_rankings_by_user(self, tmp_path):
+        rows = [VALID_ROWS[i] for i in (3, 0, 2, 1)]  # row order does not matter
+        preds = cli._read_predictions(write_predictions(tmp_path / "p.tsv", rows))
+        assert {u: list(items) for u, items in preds.items()} == {1: [10, 20], 2: [20, 10]}
+
+    @pytest.mark.parametrize("header, rows", [
+        ("user\titem\trank\tscore", VALID_ROWS),
+        (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1\t2\t20"] + VALID_ROWS[2:]),
+        (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1\t2\t20\t0.25\t7"] + VALID_ROWS[2:]),
+        (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1.0\t2\t20\t0.25"] + VALID_ROWS[2:]),
+        (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1\t2.0\t20\t0.25"] + VALID_ROWS[2:]),
+        (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1\t2\t20.0\t0.25"] + VALID_ROWS[2:]),
+        (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1\t2\t20\thigh"] + VALID_ROWS[2:]),
+        (cli.PREDICTION_HEADER, VALID_ROWS[:2] + [""] + VALID_ROWS[2:]),
+        (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1\t3\t20\t0.25"] + VALID_ROWS[2:]),
+        (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1\t1\t20\t0.25"] + VALID_ROWS[2:]),
+        (cli.PREDICTION_HEADER, []),
+    ], ids=["header", "three-fields", "five-fields", "float-user", "float-rank",
+            "float-item", "text-score", "blank-line", "rank-gap", "repeated-rank",
+            "header-only"])
+    def test_rejects_malformed_file(self, tmp_path, header, rows):
+        path = write_predictions(tmp_path / "bad.tsv", rows, header)
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            cli._read_predictions(path)
+
+    def test_evaluate_exits_2_on_malformed_file(self, pipeline_out, tmp_path, capsys):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_out, out)
+        path = out / "runs" / "wf" / "fold0" / "predictions.tsv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        assert main(["evaluate", "--out", str(out), "--algorithm", "wf"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_rankings_must_cover_the_cold_items(self, pipeline_out, tmp_path, capsys):
+        # a file listing only a user's positives would score AP 1
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_out, out)
+        table = load_interactions(out / "prepared" / "interactions.tsv")
+        cold = json.loads((out / "splits" / "manifest.json").read_text())["folds"][0]["cold"]
+        path = out / "runs" / "wf" / "fold0" / "predictions.tsv"
+        lines = path.read_text().splitlines()
+        test = table.restrict_items(cold)
+        user = min({int(line.split("\t")[0]) for line in lines[1:]} & set(test.users.tolist()))
+        positives = sorted(int(i) for u, i in zip(test.user_ids, test.item_ids) if u == user)
+        assert 0 < len(positives) < len(cold)
+        own = ["%d\t%d\t%d\t0.5" % (user, r, i) for r, i in enumerate(positives, start=1)]
+        others = [line for line in lines[1:] if int(line.split("\t")[0]) != user]
+        path.write_text("\n".join([lines[0], *own, *others]) + "\n")
+        assert main(["evaluate", "--out", str(out), "--algorithm", "wf"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "cold items" in err
 
 
 class TestOutResolution:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wassrec import GibbsKernel, conjugate_grad, entropy
-from wassrec.wfilter import RankedList, UserInteractions, estimate_preference, infer_cold, rank_items
-from oracles import entropic_value_many
+from wassrec.wfilter import (RankedList, UserInteractions, estimate_preference, infer_cold,
+                             rank_items, rank_order)
+from oracles import entropic_value_many, rank_by_key
 
 
 class TestUserInteractions:
@@ -125,3 +128,38 @@ class TestRankItems:
         with pytest.raises(ValueError):
             RankedList(item_ids=(1, 1), scores=(0.9, 0.1))
         assert len(RankedList(item_ids=(1,), scores=(1.0,))) == 1
+
+
+@st.composite
+def scored_items(draw):
+    """An (s, m) score stack with many exact ties, and s unsorted distinct ids."""
+    s = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 4))
+    ids = st.integers(-1000, 1000) if draw(st.booleans()) else st.text(max_size=3)
+    item_ids = draw(st.lists(ids, min_size=s, max_size=s, unique=True))
+    scores = st.sampled_from([0.0, 0.125, 0.5, 1.0])
+    Q = draw(st.lists(st.lists(scores, min_size=m, max_size=m), min_size=s, max_size=s))
+    return np.array(Q), item_ids
+
+
+class TestRankOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(scored_items())
+    def test_matches_key_sort(self, case):
+        Q, ids = case
+        order = rank_order(Q, ids)
+        for u in range(Q.shape[1]):
+            q = Q[:, u]
+            expected = rank_by_key(q, ids)
+            ranked = rank_items(q, ids)
+            assert ranked.item_ids == tuple(ids[j] for j in expected)
+            assert ranked.scores == tuple(q[j] for j in expected)
+            assert tuple(ids[j] for j in order[:, u]) == ranked.item_ids
+
+    def test_rejects_bad_shapes_and_duplicates(self):
+        with pytest.raises(ValueError):
+            rank_order(np.zeros(3), [1, 2, 3])  # one column must be (s, 1)
+        with pytest.raises(ValueError):
+            rank_order(np.zeros((3, 2)), [1, 2])
+        with pytest.raises(ValueError):
+            rank_order(np.zeros((2, 2)), ["a", "a"])
