@@ -299,8 +299,8 @@ def sinkhorn(p, q, M, gamma: float, tol: float = DEFAULT_TOL,
     gamma = float(gamma)
     if not np.isfinite(gamma) or gamma <= 0:
         raise ValueError("gamma must be positive and finite, got %r" % gamma)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 

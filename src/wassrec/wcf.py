@@ -12,8 +12,11 @@ subspace constraint on the potentials:
 * dictionary block: jointly over users, minimize sum_u H*_{p_u}(g_u)
   subject to G Lambda^T = 0, then recover D the same way.
 
-Both solves are projected gradient descent with Armijo backtracking.
-The projected gradient has a second life: its norm is exactly the
+Both blocks are solved by one projected gradient descent with Armijo
+backtracking over column groups: each user is a group of its own in
+the loadings block, all users form one group in the dictionary block,
+and every group keeps its own step and convergence test.  The
+projected gradient has a second life: its norm is exactly the
 distance between the current conjugate-gradient histogram and the
 span it must land in, which is what makes the early-stopping
 tolerances meaningful.
@@ -43,8 +46,22 @@ __all__ = [
     "load_model",
 ]
 
+# inner dual solves: stop once every group's projected gradient norm is
+# under _INNER_TOL or after _MAX_INNER passes; Armijo backtracking
+# restarts from _STEP_INIT each pass and shrinks by _STEP_SHRINK until
+# the sufficient-decrease test with slope fraction _ARMIJO_C passes
+_INNER_TOL = 1e-7
+_MAX_INNER = 500
+_STEP_INIT = 1.0
+_STEP_SHRINK = 0.5
+_ARMIJO_C = 1e-4
 _MIN_STEP = 1e-14
 _STALL_FACTOR = 1e3
+# the traced primal objective is a Sinkhorn solve per user
+_OBJECTIVE_TOL = 1e-7
+_OBJECTIVE_MAX_ITER = 100_000
+# rank-deficient factor redraws before train_wcf gives up
+_RANK_RETRIES = 3
 # how far the all-ones vector may fall outside the loading row space
 # before the dictionary subproblem is declared unbounded
 _MASS_TOL = 1e-3
@@ -54,43 +71,25 @@ MODEL_FORMAT = "wassrec-factor-model/1"
 
 @dataclass(frozen=True)
 class TrainOptions:
-    """Knobs for the block-coordinate training loop.
+    """Settings of the block-coordinate training loop.
 
     ``tol`` is the relative objective change across one outer pass that
-    counts as converged; the inner dual solves stop once the projected
-    gradient norm drops under ``inner_tol`` or after ``max_inner``
-    passes.  Armijo backtracking restarts from ``step_init`` every
-    iteration and shrinks by ``step_shrink`` until the sufficient
-    decrease test with slope fraction ``armijo_c`` passes.  The
-    objective trace is evaluated by a tight Sinkhorn solve by default;
-    ``objective_eval="dual"`` reuses the (equal, by strong duality at
-    block optima) negated dual value instead, which is free.
+    counts as converged, ``max_outer`` caps the outer passes, and
+    ``seed`` draws the initial dictionary.  Both blocks' inner dual
+    solves share one group-wise projected gradient descent with fixed
+    private tolerances; the objective trace is the primal Sinkhorn
+    value of the current factors.
     """
 
     tol: float = 1e-5
     max_outer: int = 50
-    inner_tol: float = 1e-7
-    max_inner: int = 500
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    armijo_c: float = 1e-4
     seed: int = 0
-    objective_eval: str = "sinkhorn"
-    objective_tol: float = 1e-7
-    objective_max_iter: int = 100_000
-    rank_retries: int = 3
 
     def __post_init__(self):
-        if self.tol <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration budgets must be at least 1")
-        if not 0 < self.step_shrink < 1 or self.step_init <= 0:
-            raise ValueError("invalid line-search parameters")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must be in (0, 1)")
-        if self.objective_eval not in ("sinkhorn", "dual"):
-            raise ValueError("objective_eval must be 'sinkhorn' or 'dual'")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite, got %r" % (self.tol,))
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,8 @@ class FactorModel:
                              % ((D.shape,), (L.shape,)))
         if not (np.all(np.isfinite(D)) and np.all(np.isfinite(L))):
             raise ValueError("factors must be finite")
-        if float(self.gamma) <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < float(self.gamma) < np.inf:
+            raise ValueError("gamma must be positive and finite, got %r" % (self.gamma,))
         items = tuple(int(i) for i in self.item_ids)
         users = tuple(int(u) for u in self.user_ids)
         if len(items) != D.shape[0]:
@@ -184,109 +183,65 @@ def _clean_histogram(x) -> np.ndarray:
     return x / total
 
 
-def _pgd_per_user(P, G0, kernel, entropies, project, opts):
-    """Independent projected-gradient descents, one per user, vectorized.
+def _pgd(P, G0, kernel, entropies, project, groups):
+    """Projected gradient descent on the summed conjugate, group by group.
 
-    Every user keeps their own Armijo step and convergence flag; a user
-    whose line search stalls at a negligible projected gradient is
-    frozen, a stall far from optimality is an error.
+    Column u belongs to group ``groups[u]``; each group sums its
+    columns' conjugate values, has its own Armijo step and stops on its
+    own projected gradient norm.  A group whose line search stalls at a
+    negligible projected gradient is frozen for the rest of the solve,
+    a stall far from optimality is an error.
     """
+    n_groups = int(groups.max()) + 1
+    frozen = np.zeros(n_groups, dtype=bool)
     G = project(np.array(G0, dtype=np.float64))
     vals, grads = batch_conjugate(P, G, kernel, entropies, True)
-    for _ in range(opts.max_inner):
+    for _ in range(_MAX_INNER):
         PG = project(grads)
-        norms2 = (PG * PG).sum(axis=0)
-        idx = np.flatnonzero(norms2 >= opts.inner_tol ** 2)
-        if idx.size == 0:
+        n2 = np.bincount(groups, (PG * PG).sum(axis=0), n_groups)
+        pending = ~frozen & (n2 >= _INNER_TOL ** 2)
+        if not pending.any():
             break
-        base = vals[idx]
-        dirs = PG[:, idx]
-        n2 = norms2[idx]
-        Gact = G[:, idx]
-        Pact = P[:, idx]
-        Hact = entropies[idx]
-        t = np.full(idx.size, opts.step_init)
-        accepted = np.zeros(idx.size, dtype=bool)
-        new_G = Gact.copy()
-        while not accepted.all():
-            rem = np.flatnonzero(~accepted)
-            cand = Gact[:, rem] - t[rem][None, :] * dirs[:, rem]
-            cvals, _ = batch_conjugate(Pact[:, rem], cand, kernel, Hact[rem], False)
-            ok = cvals <= base[rem] - opts.armijo_c * t[rem] * n2[rem]
-            new_G[:, rem[ok]] = cand[:, ok]
-            accepted[rem[ok]] = True
-            shrink = rem[~ok]
-            t[shrink] *= opts.step_shrink
-            stuck = shrink[t[shrink] < _MIN_STEP]
-            if stuck.size:
+        base = np.bincount(groups, vals, n_groups)
+        t = np.full(n_groups, _STEP_INIT)
+        while pending.any():
+            sel = pending[groups]
+            # views, not copies, while every column is pending
+            cols = slice(None) if sel.all() else np.flatnonzero(sel)
+            cand = G[:, cols] - t[groups[cols]] * PG[:, cols]
+            cvals, _ = batch_conjugate(P[:, cols], cand, kernel, entropies[cols], False)
+            ok = pending & (np.bincount(groups[cols], cvals, n_groups)
+                            <= base - _ARMIJO_C * t * n2)
+            G[:, cols] = np.where(ok[groups[cols]], cand, G[:, cols])
+            pending &= ~ok
+            t[pending] *= _STEP_SHRINK
+            stuck = pending & (t < _MIN_STEP)
+            if stuck.any():
                 worst = float(np.sqrt(n2[stuck].max()))
-                if worst > _STALL_FACTOR * opts.inner_tol:
+                if worst > _STALL_FACTOR * _INNER_TOL:
                     raise SolverError(
-                        "dual line search found no decrease for %d user(s); "
+                        "dual line search found no decrease for %d group(s); "
                         "projected gradient norm %g at step %g"
-                        % (stuck.size, worst, _MIN_STEP)
+                        % (int(stuck.sum()), worst, _MIN_STEP)
                     )
-                accepted[stuck] = True  # negligible gradient: keep the iterate
-        G[:, idx] = new_G
+                frozen |= stuck  # negligible gradient: keep the iterate
+                pending &= ~stuck
         G = project(G)
         vals, grads = batch_conjugate(P, G, kernel, entropies, True)
-    return G, vals, grads
+    return G, grads
 
 
-def _pgd_joint(P, G0, kernel, entropies, project, opts):
-    """Projected gradient descent on the summed conjugate objective."""
-    G = project(np.array(G0, dtype=np.float64))
-    vals, grads = batch_conjugate(P, G, kernel, entropies, True)
-    total = float(vals.sum())
-    for _ in range(opts.max_inner):
-        PG = project(grads)
-        n2 = float((PG * PG).sum())
-        if np.sqrt(n2) < opts.inner_tol:
-            break
-        t = opts.step_init
-        stalled = False
-        while True:
-            cand = G - t * PG
-            cvals, _ = batch_conjugate(P, cand, kernel, entropies, False)
-            if float(cvals.sum()) <= total - opts.armijo_c * t * n2:
-                G = project(cand)
-                break
-            t *= opts.step_shrink
-            if t < _MIN_STEP:
-                if np.sqrt(n2) > _STALL_FACTOR * opts.inner_tol:
-                    raise SolverError(
-                        "dictionary line search found no decrease; "
-                        "projected gradient norm %g at step %g"
-                        % (float(np.sqrt(n2)), _MIN_STEP)
-                    )
-                stalled = True
-                break
-        if stalled:
-            break
-        vals, grads = batch_conjugate(P, G, kernel, entropies, True)
-        total = float(vals.sum())
-    return G, vals, grads
-
-
-def _primal_objective(D, lam, P_mat, kernel, opts):
+def _primal_objective(D, lam, P_mat, kernel):
     total = 0.0
     cost = kernel.cost
     for u in range(P_mat.shape[1]):
         q = _clean_histogram(D @ lam[:, u])
-        total += sinkhorn(P_mat[:, u], q, cost, kernel.gamma,
-                          tol=opts.objective_tol,
-                          max_iter=opts.objective_max_iter).regularized_value
-    return total
+        total += sinkhorn(P_mat[:, u], q, cost, kernel.gamma, tol=_OBJECTIVE_TOL,
+                          max_iter=_OBJECTIVE_MAX_ITER).regularized_value
+    return float(total)
 
 
-def _trace_value(D, lam, P_mat, kernel, opts, dual_values):
-    if opts.objective_eval == "dual":
-        return float(-dual_values.sum())
-    return float(_primal_objective(D, lam, P_mat, kernel, opts))
-
-
-def lambda_step(D, P, kernel: GibbsKernel, opts: TrainOptions | None = None,
-                state: DualState | None = None):
+def lambda_step(D, P, kernel: GibbsKernel, state: DualState | None = None):
     """Optimal loadings for a fixed dictionary, solved in the dual.
 
     Each user's potential is descended over the subspace D^T g = 0;
@@ -296,7 +251,6 @@ def lambda_step(D, P, kernel: GibbsKernel, opts: TrainOptions | None = None,
     precisely the out-of-span residual).  Returns the new loadings and
     a DualState whose trace gains this half-step's objective.
     """
-    opts = opts or TrainOptions()
     D = np.asarray(D, dtype=np.float64)
     s, k = D.shape
     rank = np.linalg.matrix_rank(D)
@@ -317,16 +271,15 @@ def lambda_step(D, P, kernel: GibbsKernel, opts: TrainOptions | None = None,
     if G0.shape != (s, m):
         raise ValueError("warm-start potentials have shape %s, expected %s"
                          % ((G0.shape,), ((s, m),)))
-    G, vals, grads = _pgd_per_user(P_mat, G0, kernel, ents, project, opts)
+    G, grads = _pgd(P_mat, G0, kernel, ents, project, np.arange(m))
 
     lam = solve_triangular(R, Q.T @ grads)
     trace = state.objective_trace if state is not None else ()
-    obj = _trace_value(D, lam, P_mat, kernel, opts, vals)
+    obj = _primal_objective(D, lam, P_mat, kernel)
     return lam, DualState(potentials=G, objective_trace=trace + (obj,))
 
 
-def d_step(lam, P, kernel: GibbsKernel, opts: TrainOptions | None = None,
-           state: DualState | None = None):
+def d_step(lam, P, kernel: GibbsKernel, state: DualState | None = None):
     """Optimal dictionary for fixed loadings, solved in the dual.
 
     The stacked potentials are descended over {G : G Lambda^T = 0};
@@ -334,7 +287,6 @@ def d_step(lam, P, kernel: GibbsKernel, opts: TrainOptions | None = None,
     the dictionary is recovered by QR least squares against the
     loadings.  Returns the new dictionary and the updated DualState.
     """
-    opts = opts or TrainOptions()
     lam = np.asarray(lam, dtype=np.float64)
     k, m = lam.shape
     rank = np.linalg.matrix_rank(lam)
@@ -365,11 +317,11 @@ def d_step(lam, P, kernel: GibbsKernel, opts: TrainOptions | None = None,
     if G0.shape != (s, m):
         raise ValueError("warm-start potentials have shape %s, expected %s"
                          % ((G0.shape,), ((s, m),)))
-    G, vals, grads = _pgd_joint(P_mat, G0, kernel, ents, project, opts)
+    G, grads = _pgd(P_mat, G0, kernel, ents, project, np.zeros(m, dtype=np.intp))
 
     D = solve_triangular(RL, QL.T @ grads.T).T
     trace = state.objective_trace if state is not None else ()
-    obj = _trace_value(D, lam, P_mat, kernel, opts, vals)
+    obj = _primal_objective(D, lam, P_mat, kernel)
     return D, DualState(potentials=G, objective_trace=trace + (obj,))
 
 
@@ -405,10 +357,7 @@ def train_wcf(P, M, k: int, gamma: float = 0.05,
         raise ValueError("user_ids must name the %d histograms" % m)
 
     D, lam = init_factors(s, m, k, seed=opts.seed)
-    # the first trace entry is always the primal objective: the dual
-    # shortcut only equals the primal at block optima, and the initial
-    # factors are not one
-    trace = (float(_primal_objective(D, lam, P_mat, kernel, opts)),)
+    trace = (_primal_objective(D, lam, P_mat, kernel),)
     state = DualState(potentials=np.zeros((s, m)), objective_trace=trace)
 
     best = (trace[0], D, lam)
@@ -418,15 +367,15 @@ def train_wcf(P, M, k: int, gamma: float = 0.05,
     rng = np.random.default_rng(opts.seed + 1)
     while outer < opts.max_outer:
         try:
-            lam_new, state = lambda_step(D, P_mat.T, kernel, opts, state)
+            lam_new, state = lambda_step(D, P_mat.T, kernel, state)
             lam = lam_new
             if state.objective_trace[-1] < best[0]:
                 best = (state.objective_trace[-1], D.copy(), lam.copy())
-            D_new, state = d_step(lam, P_mat.T, kernel, opts, state)
+            D_new, state = d_step(lam, P_mat.T, kernel, state)
             D = D_new
         except RankDeficiencyError as err:
             redraws += 1
-            if redraws > opts.rank_retries:
+            if redraws > _RANK_RETRIES:
                 raise
             warnings.warn("redrawing %s after rank deficiency (attempt %d)"
                           % (err.factor, redraws))

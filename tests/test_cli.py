@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from wassrec import (
 )
 from wassrec.cli import main
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, ROOT
 
 RATINGS = str(FIXTURE_DIR / "u.data")
 GENOME = str(FIXTURE_DIR / "genome.csv")
@@ -213,6 +216,39 @@ class TestTrain:
             wf_order = [tuple(line.split("\t")[:3]) for line in wf]
             wcf_order = [tuple(line.split("\t")[:3]) for line in wcf]
             assert wf_order == wcf_order
+
+    def test_wf_rankings_do_not_depend_on_blas_threads(self, tmp_path):
+        # BLAS threading may reorder floating-point sums, so score bytes
+        # can differ between thread counts; the rankings must not
+        rng = np.random.default_rng(7)
+        users, items, per_user, tags = 300, 600, 60, 100
+        rated = np.argsort(rng.uniform(size=(users, items)), axis=1)[:, :per_user] + 1
+        user_col = np.repeat(np.arange(1, users + 1), per_user)
+        stars = rng.integers(1, 6, size=user_col.size)
+        stamps = 880_000_000 + np.arange(user_col.size)
+        np.savetxt(tmp_path / "u.data", np.column_stack([user_col, rated.ravel(), stars, stamps]),
+                   fmt="%d", delimiter="\t")
+        item_col, tag_col = np.divmod(np.arange(items * tags), tags)
+        np.savetxt(tmp_path / "genome.csv",
+                   np.column_stack([item_col + 1, tag_col + 1, rng.uniform(size=items * tags)]),
+                   fmt=["%d", "%d", "%.4f"], delimiter=",", header="movieId,tagId,relevance",
+                   comments="")
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        orders = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+            out = tmp_path / ("threads" + threads)
+            for argv in (["prepare", "--ratings", str(tmp_path / "u.data"),
+                          "--genome", str(tmp_path / "genome.csv")],
+                         ["train", "--algorithm", "wf", "--folds", "1", "--seed", "3"]):
+                proc = subprocess.run([sys.executable, "-m", "wassrec.cli", *argv,
+                                       "--out", str(out)], env=env, capture_output=True,
+                                      text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+            lines = (out / "runs" / "wf" / "fold0" / "predictions.tsv").read_text().splitlines()
+            orders.append([tuple(line.split("\t")[:3]) for line in lines])
+        assert len(orders[0]) > 1
+        assert orders[0] == orders[1]
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "o"

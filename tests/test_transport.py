@@ -217,6 +217,13 @@ class TestSinkhorn:
         with pytest.raises(ValueError):
             sinkhorn(q1, p0, M, gamma=0.1)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_tol(self, movies, tol):
+        # NaN never converges and inf would stop after one pass
+        M, p0, q1, _ = movies
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            sinkhorn(p0, q1, M, gamma=0.1, tol=tol)
+
     def test_deterministic(self, movies):
         M, p0, q1, _ = movies
         a = sinkhorn(p0, q1, M, gamma=0.05)

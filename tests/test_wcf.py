@@ -6,6 +6,7 @@ import wassrec.wcf as wcf
 from wassrec import (
     GibbsKernel,
     RankDeficiencyError,
+    SolverError,
     UnboundedDualError,
     batch_conjugate,
     entropy,
@@ -164,16 +165,19 @@ class TestLambdaStep:
         assert exc.value.factor == "dictionary"
 
     def test_dual_and_sinkhorn_traces_agree_at_optimum(self):
+        # by strong duality at the block optimum the traced primal
+        # Sinkhorn value equals the negated dual value at the potentials
         rng = np.random.default_rng(14)
         M = rng.uniform(size=(3, 4))
         kernel = GibbsKernel(M, 0.1)
         P = [rng.dirichlet(np.ones(3)) for _ in range(3)]
         D, _ = init_factors(4, 3, 2, seed=2)
-        _, state_primal = lambda_step(D, P, kernel, TrainOptions())
-        _, state_dual = lambda_step(D, P, kernel, TrainOptions(objective_eval="dual"))
-        assert state_primal.objective_trace[-1] == pytest.approx(
-            state_dual.objective_trace[-1], abs=1e-6
+        _, state = lambda_step(D, P, kernel)
+        vals, _ = batch_conjugate(
+            np.stack(P, axis=1), state.potentials, kernel,
+            np.array([entropy(p) for p in P]), need_grad=False,
         )
+        assert state.objective_trace[-1] == pytest.approx(float(-vals.sum()), abs=1e-6)
 
 
 class TestDStep:
@@ -339,8 +343,11 @@ class TestTrainWcf:
             train_wcf(P, M, k=1, gamma=0.05, user_ids=(1, 2))
         with pytest.raises(ValueError):
             TrainOptions(tol=-1.0)
-        with pytest.raises(ValueError):
-            TrainOptions(objective_eval="midpoint")
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            TrainOptions(tol=tol)
 
 
 class TestPredictAndPersistence:
@@ -385,6 +392,20 @@ class TestPredictAndPersistence:
         for name in ("dictionary.tsv", "loadings.tsv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_gamma_rejected(self, gamma):
+        model = self._model()
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            FactorModel(model.dictionary, model.loadings, gamma,
+                        item_ids=model.item_ids, user_ids=model.user_ids)
+
+    def test_load_rejects_non_finite_gamma(self, tmp_path):
+        save_model(self._model(), tmp_path / "m")
+        manifest = tmp_path / "m" / "manifest.json"
+        manifest.write_text(manifest.read_text().replace('"gamma": 0.05', '"gamma": NaN'))
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            load_model(tmp_path / "m")
+
     def test_format_guard(self, tmp_path):
         model = self._model()
         save_model(model, tmp_path / "m")
@@ -415,3 +436,65 @@ class TestDualityEndToEnd:
             np.array([entropy(p) for p in P]), need_grad=False,
         )
         assert primal == pytest.approx(float(-vals.sum()), abs=1e-6)
+
+
+class TestLineSearchStall:
+    """Candidate evaluations that never decrease make every search stall."""
+
+    @staticmethod
+    def _no_decrease(monkeypatch):
+        real = wcf.batch_conjugate
+        evaluated = []
+
+        def stubborn(P, G, kernel, entropies, need_grad=True):
+            if need_grad:
+                return real(P, G, kernel, entropies, need_grad)
+            evaluated.append(G.shape[1])
+            return np.full(G.shape[1], np.inf), None
+
+        monkeypatch.setattr(wcf, "batch_conjugate", stubborn)
+        return evaluated
+
+    @staticmethod
+    def _problem(m=5, k=2):
+        rng = np.random.default_rng(8)
+        kernel = GibbsKernel(rng.uniform(size=(4, 6)), 0.1)
+        P = [rng.dirichlet(np.ones(4)) for _ in range(m)]
+        D, _ = init_factors(6, m, k, seed=3)
+        lam = rng.uniform(0.5, 1.5, size=(k, m))
+        lam[0] = 1.0  # unit-mass predictions stay reachable
+        return P, kernel, D, lam
+
+    def test_lambda_step_raises_far_from_optimum(self, monkeypatch):
+        P, kernel, D, _ = self._problem()
+        self._no_decrease(monkeypatch)
+        with pytest.raises(SolverError, match="no decrease for 5 group"):
+            lambda_step(D, P, kernel)
+
+    def test_d_step_raises_far_from_optimum(self, monkeypatch):
+        P, kernel, _, lam = self._problem()
+        self._no_decrease(monkeypatch)
+        with pytest.raises(SolverError, match="no decrease for 1 group"):
+            d_step(lam, P, kernel)
+
+    def test_negligible_stall_freezes_each_user_once(self, monkeypatch):
+        P, kernel, D, _ = self._problem()
+        # projected gradient norms at the zero start, one per user
+        Q, _ = np.linalg.qr(D)
+        ents = np.array([entropy(p) for p in P])
+        _, grads = batch_conjugate(np.stack(P, axis=1), np.zeros((6, len(P))), kernel, ents)
+        norms = np.linalg.norm(grads - Q @ (Q.T @ grads), axis=0)
+        tol = norms.min() / 2
+        assert norms.max() < wcf._STALL_FACTOR * tol  # every stall is negligible
+        monkeypatch.setattr(wcf, "_INNER_TOL", tol)
+        evaluated = self._no_decrease(monkeypatch)
+
+        lam, state = lambda_step(D, P, kernel)
+        # one failed search: evaluations at t = 1, 1/2, ... down to the
+        # smallest step, all users in each batch, and never again
+        steps, t = 0, wcf._STEP_INIT
+        while t >= wcf._MIN_STEP:
+            steps, t = steps + 1, t * wcf._STEP_SHRINK
+        assert evaluated == [len(P)] * steps
+        np.testing.assert_allclose(state.potentials, 0.0, atol=1e-15)
+        assert np.all(np.isfinite(lam))
