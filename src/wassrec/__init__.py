@@ -34,6 +34,7 @@ from .transport import (
     GibbsKernel,
     TransportPlan,
     batch_conjugate,
+    batch_sinkhorn,
     conjugate_grad,
     conjugate_value,
     entropy,
@@ -67,6 +68,7 @@ __all__ = [
     "GibbsKernel",
     "TransportPlan",
     "batch_conjugate",
+    "batch_sinkhorn",
     "conjugate_grad",
     "conjugate_value",
     "entropy",

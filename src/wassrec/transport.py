@@ -1,19 +1,19 @@
 """Entropic optimal transport on the probability simplex.
 
-Smoothed transport cost between histograms, a matrix-scaling solver
-with automatic log-domain fallback, an exact linear-programming
+Smoothed transport cost between histograms, an exact linear-programming
 reference for test-scale instances, and the Legendre conjugate of the
-smoothed cost in its second marginal (value and gradient), batched over
-users.  The conjugate gradient is the workhorse of cold-start
-inference: evaluated at g = 0 it pushes preference histograms through
-the Gibbs kernel onto unseen items.
+smoothed cost in its second marginal (value and gradient).  Sinkhorn
+and the conjugate are batched over users sharing one Gibbs kernel, on
+one stabilized product that stays batched at any gamma.  The conjugate
+gradient is the workhorse of cold-start inference: evaluated at g = 0
+it pushes preference histograms through the Gibbs kernel onto unseen
+items.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.special import logsumexp, xlogy
 
 from .exceptions import ConvergenceError, SolverError
@@ -25,15 +25,13 @@ __all__ = [
     "simplex",
     "entropy",
     "sinkhorn",
+    "batch_sinkhorn",
     "exact_ot",
     "batch_conjugate",
     "conjugate_value",
     "conjugate_grad",
 ]
 
-# Below this regularization the plain scaling iteration is hopeless in
-# float64, so the solver goes straight to the log domain.
-LOG_DOMAIN_GAMMA = 1e-2
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 
@@ -95,11 +93,7 @@ class CostMatrix:
     col_ids: tuple
 
     def __post_init__(self):
-        c = np.asarray(self.costs, dtype=np.float64)
-        if c.ndim != 2:
-            raise ValueError("costs must be a 2-D array, got shape %s" % (c.shape,))
-        if not np.all(np.isfinite(c)) or np.any(c < 0):
-            raise ValueError("costs must be finite and nonnegative")
+        c = _as_cost(self.costs)
         rows = tuple(self.row_ids)
         cols = tuple(self.col_ids)
         if len(rows) != c.shape[0] or len(cols) != c.shape[1]:
@@ -174,6 +168,11 @@ class GibbsKernel:
         """exp(log_kernel - row_shift): every row peaks at exactly 1."""
         return np.exp(self.log_kernel - self.row_shift[:, None])
 
+    @cached_property
+    def T(self) -> "GibbsKernel":
+        """The kernel of the transposed cost: cold items become the rows."""
+        return GibbsKernel(np.ascontiguousarray(self.cost.T), self.gamma)
+
     @property
     def underflows(self) -> bool:
         return bool(self.log_kernel.min() < np.log(_TINY))
@@ -200,76 +199,121 @@ class TransportPlan:
     marginal_violation: float
 
 
-def _restrict_support(p, q, M):
-    """Drop zero-mass rows and columns; return restricted arrays and index maps."""
-    rows = np.flatnonzero(p > 0)
-    cols = np.flatnonzero(q > 0)
-    return p[rows], q[cols], M[np.ix_(rows, cols)], rows, cols
+def _check_pair(p, q, M):
+    """Validated marginals p, q and the cost matrix between them."""
+    M, p, q = _as_cost(M), simplex(p, name="p"), simplex(q, name="q")
+    if M.shape != (p.size, q.size):
+        raise ValueError("cost shape %s does not match marginals (%d, %d)"
+                         % ((M.shape,), p.size, q.size))
+    return p, q, M
 
 
-def _embed_plan(T_small, rows, cols, shape):
-    T = np.zeros(shape, dtype=np.float64)
-    T[np.ix_(rows, cols)] = T_small
-    return T
+def _shifted_log_product(kernel, G, weights, need_grad=False):
+    """b = G's column maxima and L = log(K exp(G / gamma)) - a - b / gamma.
 
-
-def _scaling_iterations(p, q, K, tol, max_iter):
-    """Plain Sinkhorn matrix scaling.
-
-    Returns (plan, iterations, violation) or None if the iteration hits
-    numeric trouble (zero or non-finite scalings) and the caller should
-    fall back to the log domain.
+    a is the kernel's ``row_shift``: kernel rows and potential columns
+    both peak at 1, so one product C = K_hat A_hat serves every column.
+    Cells of C below the normal float range that carry weight are
+    recomputed by log-sum-exp; other such cells read 0.  With
+    ``need_grad`` also the weighted softmax A_hat * K_hat^T (W / C).
     """
-    v = np.ones_like(q)
-    Kv = K @ v
-    it = 0
-    for it in range(1, max_iter + 1):
-        if np.any(Kv <= _TINY) or not np.all(np.isfinite(Kv)):
-            return None
-        u = p / Kv
-        KTu = K.T @ u
-        if np.any(KTu <= _TINY) or not np.all(np.isfinite(KTu)):
-            return None
-        v = q / KTu
-        Kv = K @ v
-        # u is stale with respect to the new v, so the row residual is
-        # the honest one; the column residual is zero up to rounding.
-        row_err = np.max(np.abs(u * Kv - p))
-        col_err = np.max(np.abs(v * KTu - q))
-        viol = max(row_err, col_err)
-        if viol < tol:
-            T = u[:, None] * K * v[None, :]
-            return T, it, float(viol)
-    raise ConvergenceError(
-        "matrix scaling did not reach tolerance %g in %d iterations "
-        "(marginal violation %g)" % (tol, max_iter, viol),
-        iterations=it,
-        violation=float(viol),
-    )
+    b = G.max(axis=0)
+    log_A = (G - b) / kernel.gamma
+    A = np.exp(log_A)
+    C = kernel.shifted_kernel @ A
+    low = C < _TINY
+    C[low] = np.inf  # leaves these cells out of W / C and the gradient ...
+    grads = A * (kernel.shifted_kernel.T @ (weights / C)) if need_grad else None
+    C[low] = 1.0  # ... and out of L; the repair below fills them in
+    L = np.log(C, out=C)
+    if not low.any():
+        return b, L, grads
+
+    rows, cols = np.divmod(np.flatnonzero(low & (weights > 0)), weights.shape[1])
+    step = max(1, (1 << 20) // G.shape[0])  # repair blocks of at most 8 MB
+    for start in range(0, rows.size, step):
+        i, u = rows[start:start + step], cols[start:start + step]
+        logits = kernel.log_kernel[i] - kernel.row_shift[i, None] + log_A[:, u].T
+        L[i, u] = lse = logsumexp(logits, axis=1)
+        if need_grad:
+            np.add.at(grads.T, u, weights[i, u][:, None] * np.exp(logits - lse[:, None]))
+    return b, L, grads
 
 
-def _log_iterations(p, q, M, gamma, tol, max_iter):
-    """Sinkhorn updates on the dual potentials, safe for small gamma."""
-    logp = np.log(p)
-    logq = np.log(q)
-    f = np.zeros_like(p)
-    g = np.zeros_like(q)
-    viol = np.inf
+def _check_budget(tol, max_iter):
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
+def _scale(P, Q, kernel, tol, max_iter):
+    """Log-domain Sinkhorn on all pairs: f = gamma (log p - log K e^(g/gamma)), mirrored.
+
+    Returns F, G, the row sums R of the plans e^((f_i + g_j - M_ij)/gamma)
+    (their columns are Q), iterations and violation.  Zero-mass entries
+    hold potential -inf from the start, as in support restriction.
+    """
+    gamma, flip = kernel.gamma, kernel.T
+    with np.errstate(divide="ignore"):
+        # log p - a and log q - a', a and a' the kernels' row shifts
+        log_P = np.log(P) - kernel.row_shift[:, None]
+        log_Q = np.log(Q) - flip.row_shift[:, None]
+    cells = np.flatnonzero(P)  # rows are checked where they carry mass
+    p, users = P.ravel()[cells], cells % P.shape[1]
+    b, L, _ = _shifted_log_product(kernel, np.where(Q > 0, 0.0, -np.inf), P)
     for it in range(1, max_iter + 1):
-        f = gamma * (logp - logsumexp((g[None, :] - M) / gamma, axis=1))
-        g = gamma * (logq - logsumexp((f[:, None] - M) / gamma, axis=0))
-        logT = (f[:, None] + g[None, :] - M) / gamma
-        row = np.exp(logsumexp(logT, axis=1))
-        col = np.exp(logsumexp(logT, axis=0))
-        viol = max(np.max(np.abs(row - p)), np.max(np.abs(col - q)))
+        F = gamma * (log_P - L) - b
+        b_flip, L_flip, _ = _shifted_log_product(flip, F, Q)
+        G = gamma * (log_Q - L_flip) - b_flip
+        b_next, L_next, _ = _shifted_log_product(kernel, G, P)
+        # rows of the plan (F, G) are p exp(delta); the next F makes them p
+        delta = L_next.take(cells) - L.take(cells) + ((b_next - b) / gamma)[users]
+        with np.errstate(over="ignore"):
+            viol = float(np.abs(p * np.expm1(delta)).max())
         if viol < tol:
-            return np.exp(logT), it, float(viol)
-    raise ConvergenceError(
-        "log-domain scaling did not reach tolerance %g in %d iterations "
-        "(marginal violation %g)" % (tol, max_iter, viol),
-        iterations=max_iter,
-        violation=float(viol),
-    )
+            R = np.zeros_like(P)
+            R.flat[cells] = p * np.exp(delta)
+            return F, G, R, it, viol
+        b, L = b_next, L_next
+    raise ConvergenceError("Sinkhorn scaling did not reach tolerance %g in %d iterations "
+                           "(marginal violation %g)" % (tol, max_iter, viol),
+                           iterations=max_iter, violation=viol)
+
+
+def _check_columns(X, rows, name):
+    """Columns of X (rows x m) renormalized onto the simplex."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != rows or X.shape[1] < 1:
+        raise ValueError("%s must have shape (%d, m >= 1), got %s" % (name, rows, (X.shape,)))
+    total = X.sum(axis=0)
+    if not (np.all(np.isfinite(X)) and np.all(X >= 0) and np.all(total > 0)):
+        raise ValueError("%s columns must be finite, nonnegative and of positive mass" % name)
+    return X / total
+
+
+def batch_sinkhorn(P, Q, kernel: GibbsKernel, tol: float = DEFAULT_TOL,
+                   max_iter: int = DEFAULT_MAX_ITER):
+    """Smoothed transport values W_gamma(p_u, q_u) of many histogram pairs at once.
+
+    Columns of P (n x m) and Q (s x m) are histograms (renormalized
+    here; zero entries allowed).  Each Sinkhorn step is one stabilized
+    product per side for every pair, at any gamma.  Returns the values
+    <T_u, M> - gamma h(T_u) of the final plans, the iterations the
+    slowest pair needed and the worst marginal violation; raises
+    ConvergenceError if ``max_iter`` passes are not enough.
+    """
+    n, s = kernel.shape
+    P = _check_columns(P, n, "P")
+    Q = _check_columns(Q, s, "Q")
+    if P.shape[1] != Q.shape[1]:
+        raise ValueError("P has %d columns but Q has %d" % (P.shape[1], Q.shape[1]))
+    _check_budget(tol, max_iter)
+    F, G, R, iterations, viol = _scale(P, Q, kernel, tol, max_iter)
+    # <T, M> - gamma h(T) = <f, rows of T> + <g, columns of T>
+    values = (np.einsum("ij,ij->j", R, np.where(P > 0, F, 0.0))
+              + np.einsum("ij,ij->j", Q, np.where(Q > 0, G, 0.0)))
+    return values, iterations, viol
 
 
 def sinkhorn(p, q, M, gamma: float, tol: float = DEFAULT_TOL,
@@ -282,44 +326,23 @@ def sinkhorn(p, q, M, gamma: float, tol: float = DEFAULT_TOL,
     ConvergenceError (carrying the final violation) if ``max_iter``
     passes are not enough.
 
-    The plain scaling iteration is used when it is numerically safe;
-    for gamma below 1e-2, or whenever the Gibbs kernel or a scaling
-    vector underflows, the solver switches to log-domain updates
-    instead of returning NaN.  Zero-mass entries of p and q are handled
-    by support restriction and come back as zero rows/columns.
+    The one-pair case of batch_sinkhorn: one stabilized loop on the
+    dual potentials serves every gamma, without NaN where the Gibbs
+    kernel underflows.  Zero-mass entries of p and q are handled by
+    support restriction and come back as zero rows/columns.
     """
-    M_full = _as_cost(M)
-    p = simplex(p, name="p")
-    q = simplex(q, name="q")
-    if M_full.shape != (p.size, q.size):
-        raise ValueError(
-            "cost shape %s does not match marginals (%d, %d)"
-            % ((M_full.shape,), p.size, q.size)
-        )
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise ValueError("gamma must be positive and finite, got %r" % gamma)
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite, got %r" % (tol,))
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-
-    ps, qs, Ms, rows, cols = _restrict_support(p, q, M_full)
-    kernel = GibbsKernel(Ms, gamma)
-
-    result = None
-    if gamma >= LOG_DOMAIN_GAMMA and not kernel.underflows:
-        result = _scaling_iterations(ps, qs, kernel.kernel, tol, max_iter)
-    if result is None:
-        result = _log_iterations(ps, qs, Ms, gamma, tol, max_iter)
-
-    T_small, iterations, viol = result
-    plan = _embed_plan(T_small, rows, cols, M_full.shape)
+    p, q, M_full = _check_pair(p, q, M)
+    _check_budget(tol, max_iter)
+    rows, cols = np.flatnonzero(p > 0), np.flatnonzero(q > 0)
+    kernel = GibbsKernel(M_full[np.ix_(rows, cols)], gamma)
+    F, G, _, iterations, viol = _scale(p[rows, None], q[cols, None], kernel, tol, max_iter)
+    plan = np.zeros(M_full.shape)
+    plan[np.ix_(rows, cols)] = np.exp((F + G.T - kernel.cost) / kernel.gamma)
     cost = float((plan * M_full).sum())
     return TransportPlan(
         plan=plan,
         transport_cost=cost,
-        regularized_value=cost - gamma * entropy(plan),
+        regularized_value=cost - kernel.gamma * entropy(plan),
         iterations=iterations,
         marginal_violation=viol,
     )
@@ -332,15 +355,11 @@ def exact_ot(p, q, M, max_cells: int = MAX_EXACT_CELLS) -> TransportPlan:
     than ``max_cells`` plan entries.  ``regularized_value`` equals
     ``transport_cost`` since there is no entropy term at gamma = 0.
     """
-    M_full = _as_cost(M)
-    p = simplex(p, name="p")
-    q = simplex(q, name="q")
+    # imported here so that importing the package does not load scipy.optimize
+    from scipy.optimize import linprog
+
+    p, q, M_full = _check_pair(p, q, M)
     n, s = M_full.shape
-    if (n, s) != (p.size, q.size):
-        raise ValueError(
-            "cost shape %s does not match marginals (%d, %d)"
-            % ((M_full.shape,), p.size, q.size)
-        )
     if n * s > max_cells:
         raise ValueError(
             "exact solve refused: %d plan cells exceed the cap of %d"
@@ -385,34 +404,14 @@ def batch_conjugate(P, G, kernel: GibbsKernel, entropies, need_grad: bool = True
 
     Columns of P (n x m) are simplex histograms with entropies h(p_u),
     trusted here because callers validate P once per solve; columns of G
-    are their potentials.  Kernel rows are shifted by their maxima a_i
-    and each potential column by its maximum, so one product
-    C = K_hat A_hat serves every user and the shifts cancel in the
-    gradient A_hat * K_hat^T (P / C).  Cells of C that fall below the
-    normal float range (a potential's spread over gamma is large) and
-    carry mass are recomputed by log-sum-exp.
+    are their potentials.  The values gamma (h(p_u) + <p_u, log K
+    exp(g_u / gamma)>) and the gradients come from one stabilized
+    product over all users (``_shifted_log_product``), so large spreads
+    of g / gamma neither overflow nor underflow.
     """
-    gamma = kernel.gamma
-    b = G.max(axis=0)
-    log_A = (G - b) / gamma
-    A = np.exp(log_A)
-    C = kernel.shifted_kernel @ A
-    low = C < _TINY
-    C[low] = np.inf  # leaves these cells out of P / C and the gradient ...
-    grads = A * (kernel.shifted_kernel.T @ (P / C)) if need_grad else None
-    C[low] = 1.0  # ... and out of the values; the repair below adds them
-    values = gamma * (entropies + kernel.row_shift @ P
-                      + np.einsum("ij,ij->j", P, np.log(C, out=C))) + b
-
-    rows, users = np.divmod(np.flatnonzero(low & (P > 0)), P.shape[1])
-    step = max(1, (1 << 20) // G.shape[0])  # repair blocks of at most 8 MB
-    for start in range(0, rows.size, step):
-        i, u = rows[start:start + step], users[start:start + step]
-        logits = kernel.log_kernel[i] - kernel.row_shift[i, None] + log_A[:, u].T
-        lse = logsumexp(logits, axis=1)
-        values += gamma * np.bincount(u, weights=P[i, u] * lse, minlength=values.size)
-        if need_grad:
-            np.add.at(grads.T, u, P[i, u][:, None] * np.exp(logits - lse[:, None]))
+    b, L, grads = _shifted_log_product(kernel, G, P, need_grad)
+    values = kernel.gamma * (entropies + kernel.row_shift @ P
+                             + np.einsum("ij,ij->j", P, L)) + b
     return values, grads
 
 

@@ -31,7 +31,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .exceptions import RankDeficiencyError, SolverError, UnboundedDualError
-from .transport import CostMatrix, GibbsKernel, _check_histograms, batch_conjugate, sinkhorn
+from .transport import (CostMatrix, GibbsKernel, _check_histograms, batch_conjugate,
+                        batch_sinkhorn)
 
 __all__ = [
     "TrainOptions",
@@ -46,9 +47,9 @@ __all__ = [
     "load_model",
 ]
 
-# inner dual solves: stop once every group's projected gradient norm is
-# under _INNER_TOL or after _MAX_INNER passes; Armijo backtracking
-# restarts from _STEP_INIT each pass and shrinks by _STEP_SHRINK until
+# inner dual solves stop once every group's projected gradient norm is
+# under _INNER_TOL, or with a warning after _MAX_INNER passes; Armijo
+# steps start at _STEP_INIT each pass and shrink by _STEP_SHRINK until
 # the sufficient-decrease test with slope fraction _ARMIJO_C passes
 _INNER_TOL = 1e-7
 _MAX_INNER = 500
@@ -57,7 +58,7 @@ _STEP_SHRINK = 0.5
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-14
 _STALL_FACTOR = 1e3
-# the traced primal objective is a Sinkhorn solve per user
+# the traced primal objective is one batched Sinkhorn solve over all users
 _OBJECTIVE_TOL = 1e-7
 _OBJECTIVE_MAX_ITER = 100_000
 # rank-deficient factor redraws before train_wcf gives up
@@ -183,24 +184,31 @@ def _clean_histogram(x) -> np.ndarray:
     return x / total
 
 
-def _pgd(P, G0, kernel, entropies, project, groups):
+def _pgd(P, G0, kernel, entropies, project, groups, block):
     """Projected gradient descent on the summed conjugate, group by group.
 
     Column u belongs to group ``groups[u]``; each group sums its
     columns' conjugate values, has its own Armijo step and stops on its
-    own projected gradient norm.  A group whose line search stalls at a
-    negligible projected gradient is frozen for the rest of the solve,
-    a stall far from optimality is an error.
+    own projected gradient norm.  Candidates come with their gradients,
+    so an accepted step is evaluated once.  A group whose line search
+    stalls at a negligible projected gradient is frozen for the rest of
+    the solve, a stall far from optimality is an error, and groups open
+    after _MAX_INNER passes are named in a warning about ``block``.
     """
     n_groups = int(groups.max()) + 1
     frozen = np.zeros(n_groups, dtype=bool)
     G = project(np.array(G0, dtype=np.float64))
     vals, grads = batch_conjugate(P, G, kernel, entropies, True)
-    for _ in range(_MAX_INNER):
+    for passes in range(_MAX_INNER + 1):
         PG = project(grads)
         n2 = np.bincount(groups, (PG * PG).sum(axis=0), n_groups)
         pending = ~frozen & (n2 >= _INNER_TOL ** 2)
         if not pending.any():
+            break
+        if passes == _MAX_INNER:
+            warnings.warn("%s dual solve stopped after %d passes with %d group(s) unconverged; "
+                          "largest projected gradient norm %g (tolerance %g)"
+                          % (block, passes, pending.sum(), np.sqrt(n2[pending].max()), _INNER_TOL))
             break
         base = np.bincount(groups, vals, n_groups)
         t = np.full(n_groups, _STEP_INIT)
@@ -209,36 +217,45 @@ def _pgd(P, G0, kernel, entropies, project, groups):
             # views, not copies, while every column is pending
             cols = slice(None) if sel.all() else np.flatnonzero(sel)
             cand = G[:, cols] - t[groups[cols]] * PG[:, cols]
-            cvals, _ = batch_conjugate(P[:, cols], cand, kernel, entropies[cols], False)
+            cvals, cgrads = batch_conjugate(P[:, cols], cand, kernel, entropies[cols], True)
             ok = pending & (np.bincount(groups[cols], cvals, n_groups)
                             <= base - _ARMIJO_C * t * n2)
-            G[:, cols] = np.where(ok[groups[cols]], cand, G[:, cols])
+            take = ok[groups[cols]]
+            G[:, cols] = np.where(take, cand, G[:, cols])
+            vals[cols] = np.where(take, cvals, vals[cols])
+            grads[:, cols] = np.where(take, cgrads, grads[:, cols])
             pending &= ~ok
             t[pending] *= _STEP_SHRINK
             stuck = pending & (t < _MIN_STEP)
             if stuck.any():
                 worst = float(np.sqrt(n2[stuck].max()))
                 if worst > _STALL_FACTOR * _INNER_TOL:
-                    raise SolverError(
-                        "dual line search found no decrease for %d group(s); "
-                        "projected gradient norm %g at step %g"
-                        % (int(stuck.sum()), worst, _MIN_STEP)
-                    )
+                    raise SolverError("dual line search found no decrease for %d group(s); "
+                                      "projected gradient norm %g at step %g"
+                                      % (int(stuck.sum()), worst, _MIN_STEP))
                 frozen |= stuck  # negligible gradient: keep the iterate
                 pending &= ~stuck
         G = project(G)
-        vals, grads = batch_conjugate(P, G, kernel, entropies, True)
     return G, grads
 
 
 def _primal_objective(D, lam, P_mat, kernel):
-    total = 0.0
-    cost = kernel.cost
-    for u in range(P_mat.shape[1]):
-        q = _clean_histogram(D @ lam[:, u])
-        total += sinkhorn(P_mat[:, u], q, cost, kernel.gamma, tol=_OBJECTIVE_TOL,
-                          max_iter=_OBJECTIVE_MAX_ITER).regularized_value
-    return float(total)
+    values, _, _ = batch_sinkhorn(P_mat, _clean_histogram(D @ lam), kernel,
+                                  tol=_OBJECTIVE_TOL, max_iter=_OBJECTIVE_MAX_ITER)
+    return float(values.sum())
+
+
+def _warm_start(state, s, m):
+    G0 = state.potentials if state is not None else np.zeros((s, m))
+    if G0.shape != (s, m):
+        raise ValueError("warm-start potentials have shape %s, expected %s"
+                         % ((G0.shape,), ((s, m),)))
+    return G0
+
+
+def _next_state(state, G, objective):
+    trace = state.objective_trace if state is not None else ()
+    return DualState(potentials=G, objective_trace=trace + (objective,))
 
 
 def lambda_step(D, P, kernel: GibbsKernel, state: DualState | None = None):
@@ -267,16 +284,10 @@ def lambda_step(D, P, kernel: GibbsKernel, state: DualState | None = None):
     def project(G):
         return G - Q @ (Q.T @ G)
 
-    G0 = state.potentials if state is not None else np.zeros((s, m))
-    if G0.shape != (s, m):
-        raise ValueError("warm-start potentials have shape %s, expected %s"
-                         % ((G0.shape,), ((s, m),)))
-    G, grads = _pgd(P_mat, G0, kernel, ents, project, np.arange(m))
-
+    G, grads = _pgd(P_mat, _warm_start(state, s, m), kernel, ents, project, np.arange(m),
+                    "loadings")
     lam = solve_triangular(R, Q.T @ grads)
-    trace = state.objective_trace if state is not None else ()
-    obj = _primal_objective(D, lam, P_mat, kernel)
-    return lam, DualState(potentials=G, objective_trace=trace + (obj,))
+    return lam, _next_state(state, G, _primal_objective(D, lam, P_mat, kernel))
 
 
 def d_step(lam, P, kernel: GibbsKernel, state: DualState | None = None):
@@ -313,16 +324,10 @@ def d_step(lam, P, kernel: GibbsKernel, state: DualState | None = None):
     def project(G):
         return G - (G @ QL) @ QL.T
 
-    G0 = state.potentials if state is not None else np.zeros((s, m))
-    if G0.shape != (s, m):
-        raise ValueError("warm-start potentials have shape %s, expected %s"
-                         % ((G0.shape,), ((s, m),)))
-    G, grads = _pgd(P_mat, G0, kernel, ents, project, np.zeros(m, dtype=np.intp))
-
+    G, grads = _pgd(P_mat, _warm_start(state, s, m), kernel, ents, project,
+                    np.zeros(m, dtype=np.intp), "dictionary")
     D = solve_triangular(RL, QL.T @ grads.T).T
-    trace = state.objective_trace if state is not None else ()
-    obj = _primal_objective(D, lam, P_mat, kernel)
-    return D, DualState(potentials=G, objective_trace=trace + (obj,))
+    return D, _next_state(state, G, _primal_objective(D, lam, P_mat, kernel))
 
 
 def train_wcf(P, M, k: int, gamma: float = 0.05,
@@ -338,15 +343,8 @@ def train_wcf(P, M, k: int, gamma: float = 0.05,
     Returns the model with the best traced objective.
     """
     opts = opts or TrainOptions()
-    if isinstance(M, GibbsKernel):
-        kernel = M
-        item_ids = tuple(range(kernel.shape[1]))
-    elif isinstance(M, CostMatrix):
-        kernel = GibbsKernel.from_cost(M, gamma)
-        item_ids = M.col_ids
-    else:
-        kernel = GibbsKernel.from_cost(M, gamma)
-        item_ids = tuple(range(kernel.shape[1]))
+    kernel = M if isinstance(M, GibbsKernel) else GibbsKernel.from_cost(M, gamma)
+    item_ids = M.col_ids if isinstance(M, CostMatrix) else tuple(range(kernel.shape[1]))
     P_mat, _ = _check_histograms(P, kernel.shape[0])
     m = P_mat.shape[1]
     s = kernel.shape[1]

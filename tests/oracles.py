@@ -102,6 +102,31 @@ def entropic_value(p, q, M, gamma, tol=1e-9, max_iter=100_000):
     )
 
 
+def sinkhorn_lse(p, q, M, gamma, tol=1e-10, max_iter=100_000):
+    """Entropy-smoothed transport value W_gamma(p, q) by log-domain Sinkhorn.
+
+    One problem, restricted to the supports of p and q; each update of
+    a dual potential is a direct log-sum-exp over the log kernel, so
+    any gamma works.  Stops once the plan's row sums are within ``tol``
+    (its columns are exact after each update) and returns
+    <T, M> - gamma h(T) of that plan.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    rows, cols = p > 0, q > 0
+    p, q, M = p[rows], q[cols], np.asarray(M, dtype=np.float64)[np.ix_(rows, cols)]
+    f = np.zeros(p.size)
+    g = np.zeros(q.size)
+    for _ in range(max_iter):
+        f = gamma * (np.log(p) - logsumexp((g[None, :] - M) / gamma, axis=1))
+        g = gamma * (np.log(q) - logsumexp((f[:, None] - M) / gamma, axis=0))
+        log_T = (f[:, None] + g[None, :] - M) / gamma
+        T = np.exp(log_T)
+        if np.abs(T.sum(axis=1) - p).max() < tol:
+            return float((T * M).sum() + gamma * (T * log_T).sum())
+    raise RuntimeError("oracle: no convergence after %d iterations" % max_iter)
+
+
 def conjugate_lse(p, g, M, gamma):
     """Conjugate value and gradient for one user by direct log-sum-exp.
 

@@ -78,6 +78,16 @@ class TestUsage:
     def test_bad_ratio_value(self):
         assert main(["train", "--algorithm", "wf", "--ratio", "5:1"]) == 1
 
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # every CLI stage starts by importing the package; the LP
+        # reference's solver is loaded only when exact_ot runs
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        code = "import sys, wassrec.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestPrepare:
     def test_stats_match_hand_counts(self, pipeline_out):

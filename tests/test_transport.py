@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wassrec.transport as transport
 from wassrec import (
     ConvergenceError,
     CostMatrix,
     GibbsKernel,
     batch_conjugate,
+    batch_sinkhorn,
     conjugate_grad,
     conjugate_value,
     entropy,
@@ -17,7 +19,8 @@ from wassrec import (
     simplex,
     sinkhorn,
 )
-from oracles import conjugate_lse, entropic_value, entropic_value_many, simplex_grid
+from oracles import (conjugate_lse, entropic_value, entropic_value_many, simplex_grid,
+                     sinkhorn_lse)
 
 
 class TestSimplex:
@@ -395,3 +398,96 @@ class TestBatchConjugate:
 
         check()
         assert sum(repaired) > 0
+
+
+def _histograms(rng, k, m, zeros):
+    """k x m random simplex columns; with ``zeros`` about 30% of entries are 0."""
+    X = rng.dirichlet(np.ones(k), size=m).T
+    if zeros:
+        X[rng.uniform(size=X.shape) < 0.3] = 0.0
+        X[0, X.sum(axis=0) == 0] = 1.0
+    return X / X.sum(axis=0)
+
+
+class TestBatchSinkhorn:
+    @given(st.integers(0, 2**32 - 1), st.floats(math.log10(0.05), 0.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scaling_oracle(self, seed, log_gamma):
+        # a kernel that does not underflow: plain scaling, pair by pair
+        rng = np.random.default_rng(seed)
+        n, s, m = (int(v) for v in rng.integers(1, 7, size=3))
+        gamma = 10.0 ** log_gamma
+        M = rng.uniform(size=(n, s))
+        P, Q = _histograms(rng, n, m, zeros=False), _histograms(rng, s, m, zeros=True)
+        values, _, viol = batch_sinkhorn(P, Q, GibbsKernel(M, gamma), tol=1e-11)
+        assert viol < 1e-11
+        for u in range(m):
+            ref = entropic_value_many(P[:, u], Q[:, [u]], M, gamma, tol=1e-12)[0]
+            assert values[u] == pytest.approx(ref, abs=1e-9)
+
+    def test_matches_log_domain_oracle_down_to_small_gamma(self, monkeypatch):
+        # gamma down to 1e-3, zero entries in p and q, and row and column
+        # cost offsets up to 2 (2000 gamma at the smallest): offsets leave
+        # the plans as they are but push shifted products below the
+        # normal float range, so at small gamma the repair has to run
+        repairs = []
+        real = transport.logsumexp
+
+        def counting(*args, **kwargs):
+            repairs[-1][1] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "logsumexp", counting)
+
+        @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 0.0))
+        @settings(max_examples=100, deadline=None)
+        def check(seed, log_gamma):
+            rng = np.random.default_rng(seed)
+            n, s, m = (int(v) for v in rng.integers(1, 7, size=3))
+            gamma = 10.0 ** log_gamma
+            M = (rng.uniform(size=(n, s)) * rng.uniform(0.0, 10.0) * gamma
+                 + rng.uniform(0.0, 2.0, size=(n, 1)) + rng.uniform(0.0, 2.0, size=(1, s)))
+            P, Q = _histograms(rng, n, m, zeros=True), _histograms(rng, s, m, zeros=True)
+            repairs.append([gamma, 0])
+            values, _, viol = batch_sinkhorn(P, Q, GibbsKernel(M, gamma), tol=1e-11)
+            assert viol < 1e-11
+            for u in range(m):
+                # each value is off by at most |f| times the violation summed over rows
+                ref = sinkhorn_lse(P[:, u], Q[:, u], M, gamma, tol=1e-11)
+                assert values[u] == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+        check()
+        assert sum(count for gamma, count in repairs if gamma <= 1e-2) > 0
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.05, 1e-3])
+    def test_one_pair_is_sinkhorn(self, gamma):
+        rng = np.random.default_rng(31)
+        p = np.array([0.5, 0.0, 0.3, 0.2])
+        q = np.array([0.1, 0.4, 0.0, 0.25, 0.25])
+        M = rng.uniform(size=(4, 5))
+        values, iterations, viol = batch_sinkhorn(p[:, None], q[:, None], GibbsKernel(M, gamma))
+        res = sinkhorn(p, q, M, gamma)
+        assert values[0] == pytest.approx(res.regularized_value, rel=1e-12)
+        assert iterations == res.iterations
+        assert viol == pytest.approx(res.marginal_violation, rel=1e-6)
+
+    def test_budget_exhaustion_raises_with_diagnostics(self, movies):
+        M, p0, q1, _ = movies
+        with pytest.raises(ConvergenceError) as exc:
+            batch_sinkhorn(p0[:, None], q1[:, None], GibbsKernel(M, 0.05), max_iter=1)
+        assert exc.value.iterations == 1
+        assert exc.value.violation > 0
+
+    def test_rejects_bad_input(self):
+        kernel = GibbsKernel(np.ones((2, 3)), 0.1)
+        P, Q = np.full((2, 4), 0.5), np.full((3, 4), 1 / 3)
+        with pytest.raises(ValueError, match="P must have shape"):
+            batch_sinkhorn(P[:1], Q, kernel)
+        with pytest.raises(ValueError, match="columns"):
+            batch_sinkhorn(P, Q[:, :2], kernel)
+        with pytest.raises(ValueError, match="P columns must be finite"):
+            batch_sinkhorn(-P, Q, kernel)
+        with pytest.raises(ValueError, match="Q columns must be .* of positive mass"):
+            batch_sinkhorn(P, Q * np.array([1, 1, 0, 1]), kernel)
+        with pytest.raises(ValueError, match="tol"):
+            batch_sinkhorn(P, Q, kernel, tol=np.nan)

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -445,12 +448,15 @@ class TestLineSearchStall:
     def _no_decrease(monkeypatch):
         real = wcf.batch_conjugate
         evaluated = []
+        started = []
 
         def stubborn(P, G, kernel, entropies, need_grad=True):
-            if need_grad:
-                return real(P, G, kernel, entropies, need_grad)
+            values, grads = real(P, G, kernel, entropies, need_grad)
+            if not started:  # the start point; every later call is a candidate
+                started.append(True)
+                return values, grads
             evaluated.append(G.shape[1])
-            return np.full(G.shape[1], np.inf), None
+            return np.full(G.shape[1], np.inf), grads
 
         monkeypatch.setattr(wcf, "batch_conjugate", stubborn)
         return evaluated
@@ -498,3 +504,85 @@ class TestLineSearchStall:
         assert evaluated == [len(P)] * steps
         np.testing.assert_allclose(state.potentials, 0.0, atol=1e-15)
         assert np.all(np.isfinite(lam))
+
+
+class TestInnerSolve:
+    """How the group-wise dual solver spends its evaluations and how it ends."""
+
+    _problem = staticmethod(TestLineSearchStall._problem)
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        real = wcf.batch_conjugate
+        sizes = []
+
+        def counting(P, G, kernel, entropies, need_grad=True):
+            sizes.append(G.shape[1])
+            return real(P, G, kernel, entropies, need_grad)
+
+        monkeypatch.setattr(wcf, "batch_conjugate", counting)
+        return sizes
+
+    def test_accepted_steps_are_not_evaluated_twice(self, monkeypatch):
+        # at gamma 0.5 every user of this problem accepts t = 1 on every
+        # pass: one evaluation at the start, then one per pass, each
+        # carrying its gradients into the next pass (a rejected step
+        # would add a call for the users still searching)
+        P, kernel, D, _ = self._problem()
+        kernel = GibbsKernel(kernel.cost, 0.5)
+        passes = 10
+        monkeypatch.setattr(wcf, "_MAX_INNER", passes)
+        sizes = self._count_calls(monkeypatch)
+        with pytest.warns(UserWarning, match="loadings dual solve"):
+            lambda_step(D, P, kernel)
+        assert sizes == [len(P)] * (1 + passes)
+
+    @staticmethod
+    def _open_groups(grads, project, groups):
+        PG = project(grads)
+        norms = np.sqrt(np.bincount(groups, (PG * PG).sum(axis=0)))
+        open_ = norms >= wcf._INNER_TOL
+        return int(open_.sum()), float(norms[open_].max())
+
+    @staticmethod
+    def _reported(record, block):
+        (warning,) = [w for w in record if "dual solve" in str(w.message)]
+        text = str(warning.message)
+        assert text.startswith("%s dual solve stopped after 3 passes" % block)
+        groups = int(re.search(r"with (\d+) group", text).group(1))
+        norm = float(re.search(r"gradient norm (\S+)", text).group(1))
+        return groups, norm
+
+    def test_budget_exhaustion_warns_for_loadings(self, monkeypatch):
+        P, kernel, D, _ = self._problem()
+        monkeypatch.setattr(wcf, "_MAX_INNER", 3)
+        with pytest.warns(UserWarning) as record:
+            _, state = lambda_step(D, P, kernel)
+        Q, _ = np.linalg.qr(D)
+        ents = np.array([entropy(p) for p in P])
+        _, grads = batch_conjugate(np.stack(P, axis=1), state.potentials, kernel, ents)
+        groups, norm = self._reported(record, "loadings")
+        expected = self._open_groups(grads, lambda G: G - Q @ (Q.T @ G), np.arange(len(P)))
+        assert groups == expected[0] > 0
+        assert norm == pytest.approx(expected[1], rel=1e-4)
+
+    def test_budget_exhaustion_warns_for_dictionary(self, monkeypatch):
+        P, kernel, _, lam = self._problem()
+        monkeypatch.setattr(wcf, "_MAX_INNER", 3)
+        with pytest.warns(UserWarning) as record:
+            _, state = d_step(lam, P, kernel)
+        QL, _ = np.linalg.qr(lam.T)
+        ents = np.array([entropy(p) for p in P])
+        _, grads = batch_conjugate(np.stack(P, axis=1), state.potentials, kernel, ents)
+        groups, norm = self._reported(record, "dictionary")
+        expected = self._open_groups(grads, lambda G: G - (G @ QL) @ QL.T,
+                                     np.zeros(len(P), dtype=np.intp))
+        assert groups == expected[0] == 1
+        assert norm == pytest.approx(expected[1], rel=1e-4)
+
+    def test_converged_solves_warn_nothing(self):
+        P, kernel, D, lam = self._problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lambda_step(D, P, kernel)
+            d_step(lam, P, kernel)
