@@ -309,8 +309,12 @@ def cmd_train(config: ExperimentConfig) -> int:
     return 0
 
 
-def _read_predictions(path):
-    """Parse a predictions file back into user -> item ids in rank order."""
+def _read_predictions(path, cold):
+    """Parse a predictions file: its users, ascending, and their rankings.
+
+    Row u of the users x s item matrix holds user u's item ids in rank
+    order; every user must rank exactly the s items of ``cold``.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != PREDICTION_HEADER:
@@ -334,8 +338,15 @@ def _read_predictions(path):
     if gaps.any():
         raise DataError("%s: user %d has non-contiguous ranks"
                         % (path, rows["user"][gaps.argmax()]))
-    ranked = np.split(rows["item"], first[1:])
-    return {user: items.tolist() for user, items in zip(users.tolist(), ranked)}
+    cold = np.unique(np.asarray(cold, dtype=np.int64))
+    full = counts == cold.size
+    ranked = rows["item"][np.repeat(full, counts)].reshape(np.count_nonzero(full), cold.size)
+    wrong = ~full
+    wrong[full] = (np.sort(ranked, axis=1) != cold).any(axis=1)
+    if wrong.any():
+        raise DataError("%s: user %d does not rank exactly the fold's %d cold items"
+                        % (path, users[wrong.argmax()], cold.size))
+    return users, ranked
 
 
 def cmd_evaluate(config: ExperimentConfig) -> int:
@@ -359,18 +370,13 @@ def cmd_evaluate(config: ExperimentConfig) -> int:
         for fold_info in manifest["folds"]:
             fold = fold_info["fold"]
             pred_path = runs_dir / algo / ("fold%d" % fold) / "predictions.tsv"
-            predictions = _read_predictions(pred_path)
-            cold = set(fold_info["cold"])
-            for user, items in predictions.items():
-                if len(items) != len(cold) or set(items) != cold:
-                    raise DataError("%s: user %d does not rank exactly the fold's %d "
-                                    "cold items" % (pred_path, user, len(cold)))
-            test = table.restrict_items(cold)
-            dropped = len(set(test.users.tolist()) - set(predictions))
+            users, ranked = _read_predictions(pred_path, fold_info["cold"])
+            test = table.restrict_items(fold_info["cold"])
+            dropped = np.setdiff1d(test.user_ids, users).size
             if dropped:
                 print("%s fold %d: %d evaluable user(s) had no predictions"
                       % (algo, fold, dropped), file=sys.stderr)
-            r = evaluate_run(predictions, test.restrict_users(predictions),
+            r = evaluate_run((users, ranked), test.restrict_users(users),
                              scope=config.scope, fold=fold)
             reports.append(r)
             rows.append((algo, str(fold), config.scope, r.evaluated_user_count,

@@ -1,13 +1,18 @@
 """Interaction logs, tag-genome vectors, and cold-start experiment splits.
 
-File parsing is hand-rolled line by line because the malformed-line
-accounting is part of the contract: a few bad lines are skipped and
-reported, too many are a hard error.
+Files are parsed as whole arrays first: one structured ``np.loadtxt``
+per file, then vectorized checks.  A rating log that does not parse
+that way (a malformed line, a non-finite rating, the ``::`` format)
+goes through a line-by-line parser, because the malformed-line budget
+is part of the contract: a few bad lines are skipped and reported, too
+many are a hard error.  A genome has no such budget, so it reads lines
+again only to name the first bad one.
 """
 
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -35,6 +40,10 @@ FORMATS = {"tab": "\t", "double-colon": "::"}
 RATIOS = {"3:1": (4, "cold"), "1:1": (2, "cold"), "1:3": (4, "interacted")}
 
 MAX_MALFORMED_FRACTION = 0.01
+
+_RATING_ROW = [("user", np.int64), ("item", np.int64), ("rating", np.float64),
+               ("time", np.int64)]
+_GENOME_ROW = [("movie", np.int64), ("tag", np.int64), ("relevance", np.float64)]
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,16 @@ def _deduplicate(users, items, ratings, stamps):
     return InteractionTable(users[keep], items[keep], ratings[keep], stamps[keep])
 
 
+def _loadtxt(fh, delimiter, dtype, usecols=None):
+    """The rest of ``fh`` as a structured array; blank lines are skipped."""
+    start = fh.tell()
+    if not any(line.rstrip("\r\n") for line in fh):  # np.loadtxt would warn
+        return np.empty(0, dtype=dtype)
+    fh.seek(start)
+    return np.loadtxt(fh, delimiter=delimiter, comments=None, usecols=usecols,
+                      ndmin=1, dtype=dtype)
+
+
 def load_interactions(path, fmt: str = "tab") -> InteractionTable:
     """Parse a rating log with fields user, item, rating, timestamp.
 
@@ -116,7 +135,20 @@ def load_interactions(path, fmt: str = "tab") -> InteractionTable:
     if fmt not in FORMATS:
         raise DataError("unknown interaction format %r (use %s)"
                         % (fmt, sorted(FORMATS)))
-    sep = FORMATS[fmt]
+    if fmt == "tab":  # np.loadtxt takes one-character delimiters only
+        try:
+            with open(path, encoding="utf-8") as fh:
+                rows = _loadtxt(fh, "\t", _RATING_ROW)
+        except ValueError:
+            pass  # the line parser counts the malformed lines
+        else:
+            if rows.size and np.isfinite(rows["rating"]).all():
+                return _deduplicate(rows["user"], rows["item"], rows["rating"], rows["time"])
+    return _parse_rating_lines(path, FORMATS[fmt])
+
+
+def _parse_rating_lines(path, sep) -> InteractionTable:
+    """The line-by-line parser behind ``load_interactions``, with the budget."""
     users, items, ratings, stamps = [], [], [], []
     malformed = 0
     total = 0
@@ -211,7 +243,9 @@ def load_genome(path) -> GenomeTable:
 
     The file must carry a header naming those three columns; comma and
     tab delimiters are both accepted.  Pairs absent for an otherwise
-    present movie default to relevance 0 with a warning.
+    present movie default to relevance 0 with a warning.  The first
+    line that is malformed, has a relevance outside [0, 1] or repeats a
+    pair is rejected by number.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n")
@@ -227,43 +261,68 @@ def load_genome(path) -> GenomeTable:
                 "genome header must name movieId, tagId and relevance; got %r"
                 % (names,)
             ) from None
-        triples = {}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split(delim)
-            try:
-                movie = int(parts[cols[0]])
-                tag = int(parts[cols[1]])
-                rel = float(parts[cols[2]])
-            except (ValueError, IndexError):
-                raise DataError("%s line %d is malformed: %r"
-                                % (path, lineno, line)) from None
-            if not 0.0 <= rel <= 1.0:
-                raise DataError("%s line %d: relevance %g outside [0, 1]"
-                                % (path, lineno, rel))
-            if (movie, tag) in triples:
-                raise DataError("%s line %d: duplicate pair (%d, %d)"
-                                % (path, lineno, movie, tag))
-            triples[(movie, tag)] = rel
-    if not triples:
+        body = fh.tell()
+        try:
+            rows, malformed = _loadtxt(fh, delim, _GENOME_ROW, usecols=cols), None
+        except ValueError:
+            fh.seek(body)
+            rows, malformed = _genome_lines(fh, delim, cols)
+
+    items, item_pos = np.unique(rows["movie"], return_inverse=True)
+    tags, tag_pos = np.unique(rows["tag"], return_inverse=True)
+    cells = item_pos * tags.size + tag_pos
+    counts = np.bincount(cells, minlength=items.size * tags.size)
+    rel = rows["relevance"]
+    outside = ~((rel >= 0.0) & (rel <= 1.0))  # NaN counts as outside
+    if outside.any() or counts.max(initial=0) > 1:
+        _reject_first_bad_row(path, rows, cells, outside)
+    if malformed is not None:
+        raise DataError("%s line %d is malformed: %r" % (path, *malformed))
+    if not rows.size:
         raise DataError("no genome records in %s" % path)
 
-    items = np.unique(np.array([m for m, _ in triples], dtype=np.int64))
-    tags = np.unique(np.array([t for _, t in triples], dtype=np.int64))
-    rel = np.zeros((items.size, tags.size))
-    item_pos = {int(m): k for k, m in enumerate(items)}
-    tag_pos = {int(t): k for k, t in enumerate(tags)}
-    for (m, t), v in triples.items():
-        rel[item_pos[m], tag_pos[t]] = v
-    missing = items.size * tags.size - len(triples)
+    relevance = np.zeros(items.size * tags.size)
+    relevance[cells] = rel
+    missing = relevance.size - rows.size
     if missing:
         warnings.warn(
             "genome %s: %d (movie, tag) pair(s) absent, filled with relevance 0"
             % (path, missing)
         )
-    return GenomeTable(items, tags, rel)
+    return GenomeTable(items, tags, relevance.reshape(items.size, tags.size))
+
+
+def _genome_lines(fh, delim, cols):
+    """Genome rows read line by line up to the first malformed line.
+
+    Returns those rows and the malformed line's (number, text), or None
+    when every line parses.
+    """
+    rows = []
+    for lineno, line in enumerate(fh, start=2):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split(delim)
+        try:
+            rows.append((int(parts[cols[0]]), int(parts[cols[1]]), float(parts[cols[2]])))
+        except (ValueError, IndexError):
+            return np.array(rows, dtype=_GENOME_ROW), (lineno, line)
+    return np.array(rows, dtype=_GENOME_ROW), None
+
+
+def _reject_first_bad_row(path, rows, cells, outside):
+    """Raise for the first row out of [0, 1] or repeating an earlier pair."""
+    repeat = np.ones(rows.size, dtype=bool)
+    repeat[np.unique(cells, return_index=True)[1]] = False
+    k = int(np.argmax(outside | repeat))
+    with open(path, encoding="utf-8") as fh:  # its line number, counting blank lines
+        lines = (n for n, line in enumerate(fh, start=1) if n > 1 and line.rstrip("\r\n"))
+        lineno = next(islice(lines, k, None))
+    movie, tag, rel = rows[k].tolist()
+    if outside[k]:
+        raise DataError("%s line %d: relevance %g outside [0, 1]" % (path, lineno, rel))
+    raise DataError("%s line %d: duplicate pair (%d, %d)" % (path, lineno, movie, tag))
 
 
 def filter_catalog(table: InteractionTable, genome: GenomeTable):
@@ -407,9 +466,17 @@ def write_split_manifest(splits, path) -> None:
 
 
 def read_split_manifest(path) -> dict:
+    """The JSON of ``write_split_manifest``; every fold entry must name its
+    fold number and its interacted and cold items."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     for key in ("ratio", "seed", "folds"):
         if key not in payload:
             raise DataError("split manifest %s lacks %r" % (path, key))
+    if not isinstance(payload["folds"], list):
+        raise DataError("split manifest %s: 'folds' is not a list" % path)
+    for k, entry in enumerate(payload["folds"]):
+        for key in ("fold", "interacted", "cold"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise DataError("split manifest %s: fold entry %d lacks %r" % (path, k, key))
     return payload

@@ -1,12 +1,17 @@
 """Ranking metrics over cold-item recommendation lists.
 
-All three metrics are computed by plain left-to-right accumulation in
-rank order, so results are reproducible bit for bit and can be checked
-against literal formula translations.
+Every sum over ranks accumulates left to right in rank order: the
+scalar metrics in a plain loop, ``evaluate_run`` as a row ``cumsum``
+of a users x ranks hit matrix, whose additions of exact zeros at the
+misses change nothing.  Results are reproducible bit for bit, and the
+batched scores equal the scalar ones, which can be checked against
+literal formula translations.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .exceptions import DataError
 
@@ -27,6 +32,14 @@ def _ranked_ids(ranked):
     if len(set(ids)) != len(ids):
         raise ValueError("ranking contains duplicate items")
     return ids
+
+
+def _item_array(ranked):
+    """A RankedList's or a sequence's item ids as an int64 array."""
+    ids = np.asarray(getattr(ranked, "item_ids", ranked))
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError("rankings must hold integer item ids")
+    return ids.astype(np.int64, copy=False)
 
 
 def _check_positives(ids, positives):
@@ -111,41 +124,80 @@ def evaluate_run(predictions, test_interactions, scope: int = 20,
                  fold: int | None = None) -> EvaluationReport:
     """Score every predicted user against their held-out positives.
 
-    ``predictions`` maps user id to a ranking of the cold catalog;
-    ``test_interactions`` is an interaction table over cold items.
-    Users whose ranking exists but who have no test positives are
-    excluded from the means and counted.  A user with test positives
-    but no ranking is an error: upstream code must either predict for
-    every evaluable user or drop the user from the test table
-    deliberately.
+    ``predictions`` maps user id to a ranking of the cold catalog (item
+    ids, or a RankedList), or is a pair (users, items) of user ids and a
+    users x ranks matrix holding one ranking per row; item ids are
+    integers.  ``test_interactions`` is an interaction table over cold
+    items.  Users whose ranking exists but who have no test positives
+    are excluded from the means and counted.  A user with test
+    positives but no ranking is an error: upstream code must either
+    predict for every evaluable user or drop the user from the test
+    table deliberately.  The scores equal ``average_precision``,
+    ``ndcg_at`` and ``recall_at`` bit for bit, and a ranking those
+    reject raises their error.
     """
     if scope < 1:
         raise ValueError("scope must be at least 1")
-    positives = {}
-    for u, i in zip(test_interactions.user_ids, test_interactions.item_ids):
-        positives.setdefault(int(u), set()).add(int(i))
-
-    unpredicted = sorted(u for u in positives if u not in predictions)
-    if unpredicted:
+    if isinstance(predictions, tuple):
+        users, rankings = np.asarray(predictions[0]), _item_array(predictions[1])
+        if users.ndim != 1 or rankings.ndim != 2 or rankings.shape[0] != users.size:
+            raise ValueError("predictions must pair n user ids with an n x ranks item matrix")
+    else:
+        given = list(predictions)
+        users = np.array([int(u) for u in given], dtype=np.int64)
+    pos_users = np.unique(test_interactions.user_ids)
+    unpredicted = pos_users[~np.isin(pos_users, users)]
+    if unpredicted.size:
         raise DataError(
-            "users %r have test positives but no predictions" % (unpredicted[:5],)
+            "users %r have test positives but no predictions" % (unpredicted[:5].tolist(),)
         )
-
-    per_user = {}
-    excluded = 0
-    for user in predictions:
-        pos = positives.get(int(user))
-        if not pos:
-            excluded += 1
-            continue
-        ranked = predictions[user]
-        per_user[int(user)] = UserScores(
-            ap=average_precision(ranked, pos),
-            ndcg=ndcg_at(ranked, pos, scope),
-            recall=recall_at(ranked, pos, scope),
-        )
-    if not per_user:
+    evaluable = np.isin(users, pos_users)
+    if not evaluable.any():
         raise DataError("no evaluable users: every prediction lacks test positives")
+    excluded = int(users.size - np.count_nonzero(evaluable))
+
+    # every evaluable ranking, flattened, with its row and rank
+    users = users[evaluable]
+    if isinstance(predictions, tuple):
+        rankings = rankings[evaluable]
+        lengths = np.full(users.size, rankings.shape[1])
+        items = rankings.ravel()
+    else:
+        rankings = [_item_array(predictions[u]) for u, e in zip(given, evaluable) if e]
+        lengths = np.array([r.size for r in rankings])
+        items = np.concatenate(rankings)
+    row = np.repeat(np.arange(users.size), lengths)
+    rank = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+    # (row, item) pairs as integer keys over a compact item vocabulary
+    order = np.argsort(users)
+    pos_row = order[np.searchsorted(users, test_interactions.user_ids, sorter=order)]
+    vocab, code = np.unique(np.concatenate([items, test_interactions.item_ids]),
+                            return_inverse=True)
+    cells = row * vocab.size + code[:items.size]
+    pos_cells = np.unique(pos_row * vocab.size + code[items.size:])
+    hit = np.isin(cells, pos_cells)
+    n_pos = np.bincount(pos_cells // vocab.size, minlength=users.size)
+    cells.sort()
+    repeated = np.zeros(users.size, dtype=bool)
+    repeated[cells[1:][cells[1:] == cells[:-1]] // vocab.size] = True
+    bad = repeated | (np.bincount(row[hit], minlength=users.size) < n_pos)
+    if bad.any():  # the first such user raises the scalar metrics' error
+        k = int(np.argmax(bad))
+        positives = vocab[pos_cells[pos_cells // vocab.size == k] % vocab.size]
+        average_precision(rankings[k].tolist(), positives.tolist())
+
+    H = np.zeros((users.size, int(lengths.max())), dtype=bool)
+    H[row, rank] = hit
+    ranks = np.arange(1, H.shape[1] + 1)
+    ap = np.where(H, np.cumsum(H, axis=1) / ranks, 0.0).cumsum(axis=1)[:, -1] / n_pos
+    top = H[:, :scope]
+    discount = np.array([1.0 / math.log2(r + 1) for r in ranks[:scope].tolist()])
+    dcg = np.where(top, discount, 0.0).cumsum(axis=1)[:, -1]
+    ndcg = dcg / np.cumsum(discount)[np.minimum(scope, n_pos) - 1]
+    recall = np.count_nonzero(top, axis=1) / n_pos
+    per_user = {u: UserScores(ap=a, ndcg=g, recall=r) for u, a, g, r in zip(
+        users.tolist(), ap.tolist(), ndcg.tolist(), recall.tolist())}
 
     n = len(per_user)
     return EvaluationReport(

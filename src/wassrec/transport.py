@@ -208,7 +208,7 @@ def _check_pair(p, q, M):
     return p, q, M
 
 
-def _shifted_log_product(kernel, G, weights, need_grad=False):
+def _shifted_log_product(kernel, G, weights, need_grad=False, support=None):
     """b = G's column maxima and L = log(K exp(G / gamma)) - a - b / gamma.
 
     a is the kernel's ``row_shift``: kernel rows and potential columns
@@ -216,10 +216,16 @@ def _shifted_log_product(kernel, G, weights, need_grad=False):
     Cells of C below the normal float range that carry weight are
     recomputed by log-sum-exp; other such cells read 0.  With
     ``need_grad`` also the weighted softmax A_hat * K_hat^T (W / C).
+    ``support`` holds the flat indices of G's finite cells when the rest
+    are -inf; only those are exponentiated (exp is slow on -inf).
     """
     b = G.max(axis=0)
     log_A = (G - b) / kernel.gamma
-    A = np.exp(log_A)
+    if support is None:
+        A = np.exp(log_A)
+    else:
+        A = np.zeros_like(log_A)
+        A.put(support, np.exp(log_A.take(support)))
     C = kernel.shifted_kernel @ A
     low = C < _TINY
     C[low] = np.inf  # leaves these cells out of W / C and the gradient ...
@@ -261,10 +267,11 @@ def _scale(P, Q, kernel, tol, max_iter):
         log_Q = np.log(Q) - flip.row_shift[:, None]
     cells = np.flatnonzero(P)  # rows are checked where they carry mass
     p, users = P.ravel()[cells], cells % P.shape[1]
+    support = cells if cells.size < P.size else None  # F is -inf off P's support
     b, L, _ = _shifted_log_product(kernel, np.where(Q > 0, 0.0, -np.inf), P)
     for it in range(1, max_iter + 1):
         F = gamma * (log_P - L) - b
-        b_flip, L_flip, _ = _shifted_log_product(flip, F, Q)
+        b_flip, L_flip, _ = _shifted_log_product(flip, F, Q, support=support)
         G = gamma * (log_Q - L_flip) - b_flip
         b_next, L_next, _ = _shifted_log_product(kernel, G, P)
         # rows of the plan (F, G) are p exp(delta); the next F makes them p

@@ -2,12 +2,18 @@
 
 Everything here is deliberately independent of the library's solver
 internals: textbook scaling updates, dense simplex grids, exhaustive
-enumeration.  Slow and simple on purpose, so that a bug in the library
-and a bug in the oracle are unlikely to coincide.
+enumeration, line-by-line file parsing.  Slow and simple on purpose, so
+that a bug in the library and a bug in the oracle are unlikely to
+coincide.
 """
+
+import warnings
 
 import numpy as np
 from scipy.special import logsumexp
+
+from wassrec import DataError
+from wassrec.dataio import GenomeTable
 
 
 def simplex_grid(s, step, interior=False):
@@ -153,3 +159,63 @@ def rank_by_key(q, ids):
     A plain key sort over (-score, id), one comparison at a time.
     """
     return sorted(range(len(ids)), key=lambda j: (-q[j], ids[j]))
+
+
+def load_genome_lines(path):
+    """``load_genome`` as a plain line-by-line parser.
+
+    Reads each line in turn, rejects the first malformed, out-of-range
+    or repeated row by number, keeps the triples in a dict and pivots
+    through two id -> position dicts.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\r\n")
+        if not header:
+            raise DataError("empty genome file %s" % path)
+        delim = "," if "," in header else "\t"
+        names = [c.strip() for c in header.split(delim)]
+        try:
+            cols = (names.index("movieId"), names.index("tagId"),
+                    names.index("relevance"))
+        except ValueError:
+            raise DataError(
+                "genome header must name movieId, tagId and relevance; got %r"
+                % (names,)
+            ) from None
+        triples = {}
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            parts = line.split(delim)
+            try:
+                movie = int(parts[cols[0]])
+                tag = int(parts[cols[1]])
+                rel = float(parts[cols[2]])
+            except (ValueError, IndexError):
+                raise DataError("%s line %d is malformed: %r"
+                                % (path, lineno, line)) from None
+            if not 0.0 <= rel <= 1.0:
+                raise DataError("%s line %d: relevance %g outside [0, 1]"
+                                % (path, lineno, rel))
+            if (movie, tag) in triples:
+                raise DataError("%s line %d: duplicate pair (%d, %d)"
+                                % (path, lineno, movie, tag))
+            triples[(movie, tag)] = rel
+    if not triples:
+        raise DataError("no genome records in %s" % path)
+
+    items = np.unique(np.array([m for m, _ in triples], dtype=np.int64))
+    tags = np.unique(np.array([t for _, t in triples], dtype=np.int64))
+    rel = np.zeros((items.size, tags.size))
+    item_pos = {int(m): k for k, m in enumerate(items)}
+    tag_pos = {int(t): k for k, t in enumerate(tags)}
+    for (m, t), v in triples.items():
+        rel[item_pos[m], tag_pos[t]] = v
+    missing = items.size * tags.size - len(triples)
+    if missing:
+        warnings.warn(
+            "genome %s: %d (movie, tag) pair(s) absent, filled with relevance 0"
+            % (path, missing)
+        )
+    return GenomeTable(items, tags, rel)

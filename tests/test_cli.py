@@ -310,15 +310,17 @@ class TestEvaluate:
         for line in lines[1:]:
             fold_s, user_s, ap_s, ndcg_s, recall_s = line.split("\t")
             fold, user = int(fold_s), int(user_s)
-            preds = cli._read_predictions(
-                pipeline_out / "runs" / "wf" / ("fold%d" % fold) / "predictions.tsv")
+            users, ranked = cli._read_predictions(
+                pipeline_out / "runs" / "wf" / ("fold%d" % fold) / "predictions.tsv",
+                cold_by_fold[fold])
+            items = ranked[users.tolist().index(user)].tolist()
             test = table.restrict_items(cold_by_fold[fold])
             positives = set(
                 int(i) for u, i in zip(test.user_ids, test.item_ids) if u == user)
             assert positives
-            assert float(ap_s) == average_precision(preds[user], positives)
-            assert float(ndcg_s) == ndcg_at(preds[user], positives, 20)
-            assert float(recall_s) == recall_at(preds[user], positives, 20)
+            assert float(ap_s) == average_precision(items, positives)
+            assert float(ndcg_s) == ndcg_at(items, positives, 20)
+            assert float(recall_s) == recall_at(items, positives, 20)
 
     def test_comparative_summary_layout(self, pipeline_out):
         lines = (pipeline_out / "reports" / "summary.tsv").read_text().splitlines()
@@ -355,6 +357,19 @@ class TestEvaluate:
         assert rc == 2
         assert "manifest.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["cold", "interacted", "fold"])
+    def test_fold_entry_lacking_a_key_is_a_data_error(self, pipeline_out, tmp_path, capsys,
+                                                      key):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_out, out)
+        path = out / "splits" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["folds"][0][key]
+        path.write_text(json.dumps(manifest))
+        assert main(["evaluate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(key) in err
+
 
 VALID_ROWS = ["1\t1\t10\t0.5", "1\t2\t20\t0.25", "2\t1\t20\t0.75", "2\t2\t10\t0.125"]
 
@@ -367,8 +382,10 @@ def write_predictions(path, rows, header=cli.PREDICTION_HEADER):
 class TestReadPredictions:
     def test_parses_rankings_by_user(self, tmp_path):
         rows = [VALID_ROWS[i] for i in (3, 0, 2, 1)]  # row order does not matter
-        preds = cli._read_predictions(write_predictions(tmp_path / "p.tsv", rows))
-        assert {u: list(items) for u, items in preds.items()} == {1: [10, 20], 2: [20, 10]}
+        users, ranked = cli._read_predictions(write_predictions(tmp_path / "p.tsv", rows),
+                                              [20, 10])
+        assert users.tolist() == [1, 2]
+        assert ranked.tolist() == [[10, 20], [20, 10]]
 
     @pytest.mark.parametrize("header, rows", [
         ("user\titem\trank\tscore", VALID_ROWS),
@@ -388,7 +405,18 @@ class TestReadPredictions:
     def test_rejects_malformed_file(self, tmp_path, header, rows):
         path = write_predictions(tmp_path / "bad.tsv", rows, header)
         with pytest.raises(DataError, match=re.escape(str(path))):
-            cli._read_predictions(path)
+            cli._read_predictions(path, [10, 20])
+
+    @pytest.mark.parametrize("rows, user", [
+        (["1\t1\t10\t0.5", "1\t2\t30\t0.25", "2\t1\t20\t0.75"], 1),  # 1: wrong item
+        (["1\t1\t10\t0.5", "2\t1\t20\t0.75", "2\t2\t30\t0.25"], 1),  # 1: too few
+        (VALID_ROWS + ["3\t1\t10\t0.5", "3\t2\t20\t0.5", "3\t3\t30\t0.5"], 3),
+    ])
+    def test_names_the_smallest_user_off_the_cold_items(self, tmp_path, rows, user):
+        path = write_predictions(tmp_path / "p.tsv", rows)
+        with pytest.raises(DataError, match="user %d does not rank exactly the fold's 2 "
+                                            "cold items" % user):
+            cli._read_predictions(path, [10, 20, 20])
 
     def test_evaluate_exits_2_on_malformed_file(self, pipeline_out, tmp_path, capsys):
         out = tmp_path / "o"

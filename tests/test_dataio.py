@@ -1,10 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wassrec import DataError
 from wassrec.dataio import (
+    FORMATS,
     ColdStartSplit,
     GenomeTable,
     InteractionTable,
@@ -17,6 +21,63 @@ from wassrec.dataio import (
     read_split_manifest,
     write_split_manifest,
 )
+from wassrec.dataio import _parse_rating_lines
+
+from oracles import load_genome_lines
+
+
+def outcome(parse, *args):
+    """What a parser does with a file: its result and warnings, or its error."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = parse(*args)
+    except (DataError, ValueError) as err:
+        return ("error", type(err).__name__, str(err))
+    if isinstance(result, GenomeTable):
+        columns = (result.item_ids, result.tag_ids, result.relevance)
+    else:
+        columns = (result.user_ids, result.item_ids, result.ratings, result.timestamps)
+    return ("ok", [(c.dtype.str, c.shape, c.tobytes()) for c in columns],
+            [str(w.message) for w in caught])
+
+
+def with_extra_lines(draw, lines, extra):
+    """``lines`` with each of ``extra`` inserted at a drawn position."""
+    lines = list(lines)
+    for line in extra:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return lines
+
+
+def write_lines(path, lines, newline):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line + newline for line in lines))
+    return path
+
+
+# fields of lines the rating budget counts as malformed
+MALFORMED_RATINGS = [["7", "300"], ["1", "2", "3", "4", "5"], ["x", "2", "3", "4"],
+                     ["1", "2.0", "3", "4"], ["1", "2", "3", "1.5"], ["1", "2", "nan", "4"],
+                     ["1", "2", "-inf", "4"], ["1", "2", "3", "4", ""], ["1", "2", "high", "4"],
+                     ["   "], ["#1", "2", "3", "4"]]
+
+
+@st.composite
+def rating_files(draw):
+    """Rating logs: repeated pairs with tied timestamps, a few malformed and
+    blank lines (under and over the 1% budget), tab or double-colon."""
+    fmt = draw(st.sampled_from(sorted(FORMATS)))
+    sep = FORMATS[fmt]
+    good = draw(st.lists(st.tuples(
+        st.integers(1, 6).map(str), st.integers(1, 8).map(str),
+        st.sampled_from(["1", "2", "3.5", "4", "5", "0.25", "4.0", " 3", "+2"]),
+        st.integers(0, 3).map(str)), max_size=20))
+    good *= draw(st.sampled_from([1, 60]))  # long enough for a malformed line in budget
+    bad = draw(st.lists(st.sampled_from(MALFORMED_RATINGS), max_size=3))
+    lines = with_extra_lines(draw, [sep.join(row) for row in good],
+                             [sep.join(row) for row in bad] + [""] * draw(st.integers(0, 2)))
+    return fmt, lines, draw(st.sampled_from(["\n", "\r\n"]))
 
 
 class TestLoadInteractions:
@@ -84,6 +145,27 @@ class TestLoadInteractions:
             load_interactions(empty)
 
 
+class TestLoadInteractionsAgainstLineParser:
+    """The array path agrees with the line parser that is its fallback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rating_files())
+    def test_equal_on_generated_files(self, tmp_path_factory, case):
+        fmt, lines, newline = case
+        path = write_lines(tmp_path_factory.getbasetemp() / "ratings.txt", lines, newline)
+        assert outcome(load_interactions, path, fmt) == outcome(
+            _parse_rating_lines, path, FORMATS[fmt])
+
+    def test_budget_edges(self, tmp_path):
+        good = ["%d\t%d\t4\t%d" % (u, u, u) for u in range(1, 101)]
+        under = write_lines(tmp_path / "under.tsv", good + ["1\t2\tnan\t3"], "\n")
+        over = write_lines(tmp_path / "over.tsv", good + ["junk", "1\t2"], "\n")
+        for path in (under, over):
+            assert outcome(load_interactions, path) == outcome(_parse_rating_lines, path, "\t")
+        assert outcome(load_interactions, under)[0] == "ok"
+        assert outcome(load_interactions, over)[0] == "error"
+
+
 class TestBinarize:
     def test_threshold_keeps_and_rewrites(self):
         t = InteractionTable([1, 1, 2, 2], [10, 11, 10, 12],
@@ -132,6 +214,70 @@ class TestLoadGenome:
         malformed.write_text("movieId,tagId,relevance\n1,x,0.5\n")
         with pytest.raises(DataError, match="malformed"):
             load_genome(malformed)
+
+
+@st.composite
+def genome_files(draw):
+    """Long-format genomes: reordered or extra columns, comma or tab, missing
+    pairs, and at times a repeated pair, a relevance outside [0, 1], a
+    malformed row and blank lines, in any order."""
+    names = list(draw(st.permutations(["movieId", "tagId", "relevance"])))
+    if draw(st.booleans()):
+        names.insert(draw(st.integers(0, 3)), "extra")
+    delim = draw(st.sampled_from([",", "\t"]))
+    movies = draw(st.lists(st.integers(1, 60), max_size=6, unique=True))
+    tags = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True))
+    relevance = st.one_of(st.floats(0.0, 1.0).map(repr),
+                          st.sampled_from(["0", "1", "0.5", "1.0", "-0.0", " 0.25", ".75"]))
+    rows = [{"movieId": str(m), "tagId": str(t), "relevance": draw(relevance)}
+            for m in movies for t in tags if draw(st.integers(0, 4))]
+    rows = list(draw(st.permutations(rows)))
+    extra = []
+    if rows and draw(st.integers(0, 3)) == 0:
+        extra.append(dict(draw(st.sampled_from(rows)), relevance=draw(relevance)))
+    if draw(st.integers(0, 3)) == 0:
+        extra.append({"movieId": "3", "tagId": str(tags[0]),
+                      "relevance": draw(st.sampled_from(["1.5", "-0.25", "nan", "inf"]))})
+    if draw(st.integers(0, 3)) == 0:
+        broken = {"movieId": "x", "tagId": "2.5", "relevance": "high"}
+        key = draw(st.sampled_from(sorted(broken)))
+        extra.append({"movieId": "4", "tagId": str(tags[0]), "relevance": "0.5",
+                      key: broken[key]})
+    if draw(st.integers(0, 3)) == 0:
+        extra.append(None)  # a row cut short of its last field
+    lines = [delim.join(row.get(n, "z") for n in names) if row else
+             delim.join(["1"] * (len(names) - 1)) for row in rows + extra]
+    lines = with_extra_lines(draw, lines[:len(rows)], lines[len(rows):]
+                             + [""] * draw(st.integers(0, 2)))
+    return [delim.join(names), *lines], draw(st.sampled_from(["\n", "\r\n"]))
+
+
+class TestLoadGenomeAgainstLineParser:
+    """The array path agrees with the line-by-line parser it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(genome_files())
+    def test_equal_on_generated_files(self, tmp_path_factory, case):
+        lines, newline = case
+        path = write_lines(tmp_path_factory.getbasetemp() / "genome.txt", lines, newline)
+        assert outcome(load_genome, path) == outcome(load_genome_lines, path)
+
+    @pytest.mark.parametrize("body, message", [
+        (["1,2,0.5", "", "1,3,x", "1,2,1.5"], "line 4 is malformed"),
+        (["1,2,0.5", "1,2,0.75", "1,3,x"], "line 3: duplicate pair (1, 2)"),
+        (["1,2,0.5", "", "1,3,nan", "1,3,x"], "line 4: relevance nan outside"),
+        (["1,2,1.5", "1,2,0.5"], "line 2: relevance 1.5 outside"),
+        (["1,2,0.5", "1,2,-1"], "line 3: relevance -1 outside"),
+        (["1,2_0,0.5"], None),  # Python's int reads 2_0; the line parser takes it
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, body, message):
+        path = write_lines(tmp_path / "g.csv", ["movieId,tagId,relevance", *body], "\n")
+        got = outcome(load_genome, path)
+        assert got == outcome(load_genome_lines, path)
+        if message is None:
+            assert got[0] == "ok"
+        else:
+            assert got[0] == "error" and message in got[2]
 
 
 class TestFilterCatalog:

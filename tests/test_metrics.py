@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wassrec import DataError
 from wassrec.dataio import InteractionTable
@@ -177,3 +179,75 @@ class TestEvaluateRun:
         assert len(lines) == 3 and lines[1].startswith("0\t1\t")
         summary_lines = paths[0][1].read_text().splitlines()
         assert summary_lines[1].split("\t")[2] == "2"  # evaluated users
+
+
+@st.composite
+def runs(draw):
+    """Rankings of a random part of a small catalog (ragged), positives
+    among each ranking (at times none, at times repeated), and a scope."""
+    catalog = list(range(100, 100 + draw(st.integers(1, 12))))
+    users = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True))
+    predictions, rows = {}, []
+    for u in users:
+        ranking = draw(st.permutations(catalog))[:draw(st.integers(0, len(catalog)))]
+        predictions[u] = ranking
+        positives = [i for i in ranking if draw(st.booleans())]
+        rows += [(u, i) for i in positives + positives[:draw(st.integers(0, 1))]]
+    if not rows:
+        rows = [(users[0], predictions[users[0]][0])] if predictions[users[0]] else []
+    return predictions, rows, draw(st.integers(1, 15))
+
+
+class TestEvaluateRunAgainstScalarMetrics:
+    @settings(max_examples=300, deadline=None)
+    @given(runs())
+    def test_bit_identical_to_scalar_metrics(self, run):
+        predictions, rows, scope = run
+        if not rows:
+            with pytest.raises(DataError, match="no evaluable"):
+                evaluate_run(predictions, _table([(0, 0)]).restrict_users([]), scope=scope)
+            return
+        test = _table(rows)
+        rep = evaluate_run(predictions, test, scope=scope)
+        positives = {}
+        for u, i in rows:
+            positives.setdefault(u, set()).add(i)
+        want = {u: (average_precision(predictions[u], pos), ndcg_at(predictions[u], pos, scope),
+                    recall_at(predictions[u], pos, scope)) for u, pos in positives.items()}
+        assert {u: (s.ap, s.ndcg, s.recall) for u, s in rep.per_user.items()} == want
+        assert list(rep.per_user) == [u for u in predictions if u in positives]
+        assert rep.excluded_user_count == len(predictions) - len(positives)
+        scores = [want[u] for u in sorted(want)]
+        assert (rep.mean_ap, rep.mean_ndcg, rep.mean_recall) == tuple(
+            sum(s[k] for s in scores) / len(scores) for k in range(3))
+        lengths = {len(r) for r in predictions.values()}
+        if len(lengths) == 1:  # the same run as one users x ranks matrix
+            users = sorted(predictions)
+            matrix = np.array([predictions[u] for u in users], dtype=np.int64)
+            matrix = matrix.reshape(len(users), lengths.pop())
+            assert evaluate_run((np.array(users), matrix), test, scope=scope) == rep
+
+    @pytest.mark.parametrize("predictions, rows", [
+        ({1: [10, 11, 10], 2: [10]}, [(1, 10), (2, 10)]),
+        ({3: [10, 11], 1: [10, 11]}, [(3, 12), (1, 13)]),
+        ({1: [10, 11, 10], 2: [10, 12]}, [(2, 11), (1, 10)]),
+        ({2: [10, 10], 1: [11]}, [(1, 11)]),  # no positives: not looked at
+    ])
+    def test_invalid_rankings_raise_the_scalar_error(self, predictions, rows):
+        positives = {}
+        for u, i in rows:
+            positives.setdefault(u, set()).add(i)
+        want = None
+        for u in predictions:
+            if u in positives:
+                try:
+                    average_precision(predictions[u], positives[u])
+                except ValueError as err:
+                    want = str(err)
+                    break
+        if want is None:
+            assert evaluate_run(predictions, _table(rows), scope=2).evaluated_user_count == 1
+        else:
+            with pytest.raises(ValueError) as err:
+                evaluate_run(predictions, _table(rows), scope=2)
+            assert str(err.value) == want

@@ -459,6 +459,26 @@ class TestBatchSinkhorn:
         check()
         assert sum(count for gamma, count in repairs if gamma <= 1e-2) > 0
 
+    @pytest.mark.parametrize("gamma", [0.05, 1e-3])
+    def test_exp_on_the_support_only_changes_no_bit(self, monkeypatch, gamma):
+        # off P's support the potentials are -inf, and exp(-inf) is 0 either way
+        rng = np.random.default_rng(5)
+        M = rng.uniform(size=(9, 6)) + rng.uniform(0.0, 2.0, size=(9, 1))
+        P, Q = _histograms(rng, 9, 7, zeros=True), _histograms(rng, 6, 7, zeros=True)
+        kernel = GibbsKernel(M, gamma)
+        restricted = batch_sinkhorn(P, Q, kernel)
+        real, supports = transport._shifted_log_product, []
+
+        def everywhere(*args, support=None, **kwargs):
+            supports.append(support)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "_shifted_log_product", everywhere)
+        dense = batch_sinkhorn(P, Q, kernel)
+        assert any(support is not None for support in supports)
+        np.testing.assert_array_equal(restricted[0], dense[0])
+        assert restricted[1:] == dense[1:]
+
     @pytest.mark.parametrize("gamma", [1.0, 0.05, 1e-3])
     def test_one_pair_is_sinkhorn(self, gamma):
         rng = np.random.default_rng(31)
