@@ -13,16 +13,20 @@ to the WASSREC_OUT environment variable, then ./wassrec-out):
   write per-user and summary tables under <out>/reports/.  Each user in
   a prediction file must rank exactly the fold's cold items.
 
-Every file the pipeline writes is deterministic for a fixed config,
-seed and BLAS thread count: reruns are byte-identical.  Exit codes:
-0 success, 1 usage error, 2 data error, 3 solver failure.
+Each flag value is checked once, by its argparse type, before any file
+is read or written.  ``main`` resolves the output directory to a Path
+on the parsed namespace and hands that namespace to the stage's
+``cmd_*`` function.
+
+Every file the pipeline writes is deterministic for fixed flags, seed
+and BLAS thread count: reruns are byte-identical.  Exit codes: 0
+success, 1 usage error, 2 data error, 3 solver failure.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -45,94 +49,25 @@ from .metrics import evaluate_run, write_report_files
 from .wcf import TrainOptions, _clean_histogram, save_model, train_wcf
 from .wfilter import infer_cold, rank_order
 
-__all__ = ["ExperimentConfig", "main", "app", "build_parser"]
+__all__ = ["main", "app", "build_parser"]
 
 OUT_ENV = "WASSREC_OUT"
 DEFAULT_OUT = "wassrec-out"
 PREDICTION_HEADER = "user\trank\titem\tscore"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment's settings, shared by all three pipeline stages.
-
-    Stages ignore the fields they do not use; every invariant is checked
-    on construction, before any file is read or written.  ``out`` is the
-    directory the stages communicate through.
-    """
-
-    out: Path
-    ratings: Path | None = None
-    genome: Path | None = None
-    ratings_format: str = "tab"
-    threshold: float = 4.0
-    algorithm: str | None = None
-    gamma: float = 0.05
-    latent_dim: int = 30
-    ratio: str = "3:1"
-    folds: int | None = None
-    seed: int = 0
-    tol: float = 1e-5
-    max_outer: int = 50
-    scope: int = 20
-
-    def __post_init__(self):
-        object.__setattr__(self, "out", Path(self.out))
-        for field in ("ratings", "genome"):
-            value = getattr(self, field)
-            if value is not None:
-                object.__setattr__(self, field, Path(value))
-        if self.ratings_format not in FORMATS:
-            raise ValueError("unknown ratings format %r" % (self.ratings_format,))
-        if not np.isfinite(self.threshold):
-            raise ValueError("threshold must be finite, got %r" % (self.threshold,))
-        if self.algorithm not in (None, "wf", "wcf"):
-            raise ValueError("algorithm must be wf or wcf, got %r" % (self.algorithm,))
-        if not np.isfinite(self.gamma) or self.gamma <= 0:
-            raise ValueError("gamma must be positive, got %r" % (self.gamma,))
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be at least 1, got %r" % (self.latent_dim,))
-        if self.ratio not in RATIOS:
-            raise ValueError("ratio must be one of %s, got %r"
-                             % (sorted(RATIOS), self.ratio))
-        if self.folds is not None and self.folds < 1:
-            raise ValueError("folds must be at least 1, got %r" % (self.folds,))
-        if not np.isfinite(self.tol) or self.tol <= 0:
-            raise ValueError("tol must be positive, got %r" % (self.tol,))
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1, got %r" % (self.max_outer,))
-        if self.scope < 1:
-            raise ValueError("scope must be at least 1, got %r" % (self.scope,))
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not a number" % text)
-    if not np.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive number, got %r" % text)
-    return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not an integer" % text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %r" % text)
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not a number" % text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError("must be finite, got %r" % text)
-    return value
+def _finite(kind, positive=True):
+    """An argparse type: the text as a finite ``kind``, above zero if ``positive``."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("%r is not a number" % text) from None
+        if not -np.inf < value < np.inf or (positive and value <= 0):
+            raise argparse.ArgumentTypeError("must be a %s number, got %r"
+                                             % ("positive" if positive else "finite", text))
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,31 +89,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genome", required=True, help="tag-relevance file")
     p.add_argument("--format", choices=sorted(FORMATS), default="tab",
                    help="ratings field delimiter (default tab)")
-    p.add_argument("--threshold", type=_finite_float, default=4.0,
+    p.add_argument("--threshold", type=_finite(float, positive=False), default=4.0,
                    help="keep interactions rated at least this (default 4)")
     p.set_defaults(func=cmd_prepare)
 
     t = sub.add_parser("train", parents=[common],
                        help="split the catalog and fit one algorithm per fold")
     t.add_argument("--algorithm", choices=("wf", "wcf"), required=True)
-    t.add_argument("--gamma", type=_positive_float, default=0.05,
+    t.add_argument("--gamma", type=_finite(float), default=0.05,
                    help="entropic smoothing (default 0.05)")
-    t.add_argument("--latent-dim", dest="latent_dim", type=_positive_int, default=30,
+    t.add_argument("--latent-dim", dest="latent_dim", type=_finite(int), default=30,
                    help="wcf factorization rank (default 30)")
     t.add_argument("--ratio", choices=sorted(RATIOS), default="3:1",
                    help="interacted:cold item ratio (default 3:1)")
-    t.add_argument("--folds", type=_positive_int, default=None,
+    t.add_argument("--folds", type=_finite(int), default=None,
                    help="fold count (default: every subset once)")
     t.add_argument("--seed", type=int, default=0, help="split and init seed")
-    t.add_argument("--tol", type=_positive_float, default=1e-5,
+    t.add_argument("--tol", type=_finite(float), default=1e-5,
                    help="wcf outer-loop relative tolerance (default 1e-5)")
-    t.add_argument("--max-outer", dest="max_outer", type=_positive_int, default=50,
+    t.add_argument("--max-outer", dest="max_outer", type=_finite(int), default=50,
                    help="wcf outer-iteration cap (default 50)")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("evaluate", parents=[common],
                        help="score trained runs against held-out cold items")
-    e.add_argument("--scope", type=_positive_int, default=20,
+    e.add_argument("--scope", type=_finite(int), default=20,
                    help="ranking cutoff for NDCG and recall (default 20)")
     e.add_argument("--algorithm", choices=("wf", "wcf"), default=None,
                    help="evaluate one algorithm (default: every run found)")
@@ -186,24 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    out = args.out or os.environ.get(OUT_ENV) or DEFAULT_OUT
-    fields = ("ratings", "genome", "threshold", "algorithm", "gamma",
-              "latent_dim", "ratio", "folds", "seed", "tol", "max_outer",
-              "scope")
-    kwargs = {f: getattr(args, f) for f in fields if hasattr(args, f)}
-    if hasattr(args, "format"):
-        kwargs["ratings_format"] = args.format
-    return ExperimentConfig(out=out, **kwargs)
-
-
-def cmd_prepare(config: ExperimentConfig) -> int:
-    table = load_interactions(config.ratings, fmt=config.ratings_format)
-    table = binarize(table, threshold=config.threshold)
-    genome = load_genome(config.genome)
+def cmd_prepare(args) -> int:
+    table = load_interactions(args.ratings, fmt=args.format)
+    table = binarize(table, threshold=args.threshold)
+    genome = load_genome(args.genome)
     table, genome = filter_catalog(table, genome)
 
-    prepared = config.out / "prepared"
+    prepared = args.out / "prepared"
     prepared.mkdir(parents=True, exist_ok=True)
 
     order = np.lexsort((table.timestamps, table.item_ids, table.user_ids))
@@ -255,18 +179,17 @@ def _write_table(path, header, fmt, *columns, block=1 << 14) -> None:
             fh.write(fmt * len(rows) % tuple(chain.from_iterable(rows)))
 
 
-def cmd_train(config: ExperimentConfig) -> int:
-    out = config.out
+def cmd_train(args) -> int:
+    out = args.out
     table = load_interactions(out / "prepared" / "interactions.tsv")
     genome = load_genome(out / "prepared" / "genome.csv")
 
-    splits = cold_start_split(table, ratio=config.ratio, folds=config.folds,
-                              seed=config.seed)
+    splits = cold_start_split(table, ratio=args.ratio, folds=args.folds, seed=args.seed)
     (out / "splits").mkdir(parents=True, exist_ok=True)
     write_split_manifest(splits, out / "splits" / "manifest.json")
 
     for split in splits:
-        run_dir = out / "runs" / config.algorithm / ("fold%d" % split.fold)
+        run_dir = out / "runs" / args.algorithm / ("fold%d" % split.fold)
         run_dir.mkdir(parents=True, exist_ok=True)
 
         users, P = _fold_histograms(split)
@@ -279,17 +202,16 @@ def cmd_train(config: ExperimentConfig) -> int:
 
         cost = build_cost_matrix(genome, split.interacted_items, split.cold_items)
         s, n = len(split.cold_items), len(split.interacted_items)
-        if config.algorithm == "wf":
-            Q = infer_cold(P, cost, config.gamma)
+        if args.algorithm == "wf":
+            Q = infer_cold(P, cost, args.gamma)
         else:
-            k = min(config.latent_dim, s, n, len(users))
-            if k < config.latent_dim:
+            k = min(args.latent_dim, s, n, len(users))
+            if k < args.latent_dim:
                 print("fold %d: latent dim clamped to %d (%d cold items, "
                       "%d interacted items, %d users)"
                       % (split.fold, k, s, n, len(users)), file=sys.stderr)
-            opts = TrainOptions(tol=config.tol, max_outer=config.max_outer,
-                                seed=config.seed)
-            model = train_wcf(P.T, cost, k=k, gamma=config.gamma, opts=opts, user_ids=users)
+            opts = TrainOptions(tol=args.tol, max_outer=args.max_outer, seed=args.seed)
+            model = train_wcf(P.T, cost, k=k, gamma=args.gamma, opts=opts, user_ids=users)
             save_model(model, run_dir / "model")
             trace = model.objective_trace
             print("fold %d: objective %.6g -> %.6g over %d half-steps"
@@ -349,14 +271,14 @@ def _read_predictions(path, cold):
     return users, ranked
 
 
-def cmd_evaluate(config: ExperimentConfig) -> int:
-    out = config.out
+def cmd_evaluate(args) -> int:
+    out = args.out
     manifest = read_split_manifest(out / "splits" / "manifest.json")
     table = load_interactions(out / "prepared" / "interactions.tsv")
 
     runs_dir = out / "runs"
-    if config.algorithm:
-        algorithms = [config.algorithm]
+    if args.algorithm:
+        algorithms = [args.algorithm]
     else:
         if not runs_dir.is_dir():
             raise DataError("no runs directory at %s" % runs_dir)
@@ -377,19 +299,19 @@ def cmd_evaluate(config: ExperimentConfig) -> int:
                 print("%s fold %d: %d evaluable user(s) had no predictions"
                       % (algo, fold, dropped), file=sys.stderr)
             r = evaluate_run((users, ranked), test.restrict_users(users),
-                             scope=config.scope, fold=fold)
+                             scope=args.scope, fold=fold)
             reports.append(r)
-            rows.append((algo, str(fold), config.scope, r.evaluated_user_count,
+            rows.append((algo, str(fold), args.scope, r.evaluated_user_count,
                          r.excluded_user_count, dropped, r.mean_ap, r.mean_ndcg, r.mean_recall))
 
         rep_dir = out / "reports" / algo
         rep_dir.mkdir(parents=True, exist_ok=True)
         write_report_files(reports, rep_dir / "per_user.tsv", rep_dir / "summary.tsv")
         cols, n = list(zip(*rows)), len(rows)
-        mean = (algo, "mean", config.scope, *map(sum, cols[3:6]), *(sum(c) / n for c in cols[6:]))
+        mean = (algo, "mean", args.scope, *map(sum, cols[3:6]), *(sum(c) / n for c in cols[6:]))
         summary_rows += rows + [mean]
         print("%s: MAP %.4f  NDCG@%d %.4f  Recall@%d %.4f (mean over %d folds)"
-              % (algo, mean[6], config.scope, mean[7], config.scope, mean[8], n))
+              % (algo, mean[6], args.scope, mean[7], args.scope, mean[8], n))
 
     # one comparative table: per-fold rows plus a mean row per algorithm
     # (metric columns are unweighted fold means, count columns are totals)
@@ -407,8 +329,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    args.out = Path(args.out or os.environ.get(OUT_ENV) or DEFAULT_OUT)
     try:
-        return args.func(_config_from_args(args))
+        return args.func(args)
     except SolverError as err:
         print("solver failure: %s" % err, file=sys.stderr)
         return 3

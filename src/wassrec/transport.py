@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 from .exceptions import ConvergenceError, SolverError
 
@@ -68,6 +67,13 @@ def simplex(weights, name: str = "weights") -> np.ndarray:
     return out
 
 
+def _xlogx(a):
+    """a log a elementwise, 0 where a is 0."""
+    out = np.log(a, where=a > 0, out=np.zeros_like(a))
+    out *= a
+    return out
+
+
 def entropy(x) -> float:
     """Shannon entropy -sum x log x with the 0 log 0 = 0 convention.
 
@@ -76,7 +82,13 @@ def entropy(x) -> float:
     a = np.asarray(x, dtype=np.float64)
     if np.any(a < 0) or not np.all(np.isfinite(a)):
         raise ValueError("entropy requires finite nonnegative entries")
-    return float(-xlogy(a, a).sum())
+    return float(-_xlogx(a).sum())
+
+
+def _logsumexp(x):
+    """log sum exp along the rows of x, shifted by each row's maximum."""
+    top = x.max(axis=1)
+    return np.log(np.exp(x - top[:, None]).sum(axis=1)) + top
 
 
 @dataclass(frozen=True)
@@ -128,12 +140,12 @@ def _as_cost(M) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GibbsKernel:
-    """Gibbs kernel exp(-cost / gamma) kept primarily in log form.
+    """Gibbs kernel exp(-cost / gamma), kept in log form and row-shifted.
 
-    The log-domain representation -cost / gamma is always exact;
-    ``kernel`` materializes the elementwise exponential, which may
-    underflow to zero for small gamma (consumers that cannot tolerate
-    that check ``underflows`` and stay in the log domain).
+    ``log_kernel`` = -cost / gamma is exact at any gamma.  The kernel
+    itself is only held as ``shifted_kernel``, each row divided by its
+    maximum ``exp(row_shift)``, so no row underflows as a whole; cells
+    that still do are recomputed in the log domain where they matter.
     """
 
     cost: np.ndarray
@@ -149,15 +161,11 @@ class GibbsKernel:
 
     @classmethod
     def from_cost(cls, M, gamma: float) -> "GibbsKernel":
-        return cls(_as_cost(M), gamma)
+        return cls(M, gamma)
 
     @cached_property
     def log_kernel(self) -> np.ndarray:
         return -self.cost / self.gamma
-
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        return np.exp(self.log_kernel)
 
     @cached_property
     def row_shift(self) -> np.ndarray:
@@ -172,10 +180,6 @@ class GibbsKernel:
     def T(self) -> "GibbsKernel":
         """The kernel of the transposed cost: cold items become the rows."""
         return GibbsKernel(np.ascontiguousarray(self.cost.T), self.gamma)
-
-    @property
-    def underflows(self) -> bool:
-        return bool(self.log_kernel.min() < np.log(_TINY))
 
     @property
     def shape(self):
@@ -240,10 +244,27 @@ def _shifted_log_product(kernel, G, weights, need_grad=False, support=None):
     for start in range(0, rows.size, step):
         i, u = rows[start:start + step], cols[start:start + step]
         logits = kernel.log_kernel[i] - kernel.row_shift[i, None] + log_A[:, u].T
-        L[i, u] = lse = logsumexp(logits, axis=1)
+        L[i, u] = lse = _logsumexp(logits)
         if need_grad:
             np.add.at(grads.T, u, weights[i, u][:, None] * np.exp(logits - lse[:, None]))
     return b, L, grads
+
+
+def _histograms(X, rows, name="P"):
+    """Columns of X (rows x m) renormalized onto the simplex, and their entropies.
+
+    The one check of every batch of histograms: entries finite and
+    nonnegative, every column of positive mass (zero entries allowed).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != rows or X.shape[1] < 1:
+        raise ValueError("%s must have shape (%d, m >= 1), got %s" % (name, rows, (X.shape,)))
+    H = np.ascontiguousarray(X.T)  # one histogram per row, so each sums pairwise
+    total = H.sum(axis=1, keepdims=True)
+    if not (np.all(H >= 0) and np.all((total > 0) & (total < np.inf))):
+        raise ValueError("%s columns must be finite, nonnegative and of positive mass" % name)
+    H = H / total
+    return np.ascontiguousarray(H.T), -_xlogx(H).sum(axis=1)
 
 
 def _check_budget(tol, max_iter):
@@ -288,17 +309,6 @@ def _scale(P, Q, kernel, tol, max_iter):
                            iterations=max_iter, violation=viol)
 
 
-def _check_columns(X, rows, name):
-    """Columns of X (rows x m) renormalized onto the simplex."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != rows or X.shape[1] < 1:
-        raise ValueError("%s must have shape (%d, m >= 1), got %s" % (name, rows, (X.shape,)))
-    total = X.sum(axis=0)
-    if not (np.all(np.isfinite(X)) and np.all(X >= 0) and np.all(total > 0)):
-        raise ValueError("%s columns must be finite, nonnegative and of positive mass" % name)
-    return X / total
-
-
 def batch_sinkhorn(P, Q, kernel: GibbsKernel, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER):
     """Smoothed transport values W_gamma(p_u, q_u) of many histogram pairs at once.
@@ -311,8 +321,8 @@ def batch_sinkhorn(P, Q, kernel: GibbsKernel, tol: float = DEFAULT_TOL,
     ConvergenceError if ``max_iter`` passes are not enough.
     """
     n, s = kernel.shape
-    P = _check_columns(P, n, "P")
-    Q = _check_columns(Q, s, "Q")
+    P, _ = _histograms(P, n, "P")
+    Q, _ = _histograms(Q, s, "Q")
     if P.shape[1] != Q.shape[1]:
         raise ValueError("P has %d columns but Q has %d" % (P.shape[1], Q.shape[1]))
     _check_budget(tol, max_iter)
@@ -362,7 +372,7 @@ def exact_ot(p, q, M, max_cells: int = MAX_EXACT_CELLS) -> TransportPlan:
     than ``max_cells`` plan entries.  ``regularized_value`` equals
     ``transport_cost`` since there is no entropy term at gamma = 0.
     """
-    # imported here so that importing the package does not load scipy.optimize
+    # imported here so that importing the package does not load SciPy
     from scipy.optimize import linprog
 
     p, q, M_full = _check_pair(p, q, M)
@@ -396,16 +406,6 @@ def exact_ot(p, q, M, max_cells: int = MAX_EXACT_CELLS) -> TransportPlan:
     )
 
 
-def _check_histograms(P, n):
-    """Validated n x m matrix of the histograms in P (one per user) and their entropies."""
-    cols = [simplex(p, name="p") for p in P]
-    if not cols:
-        raise ValueError("P must contain at least one user")
-    if any(c.size != n for c in cols):
-        raise ValueError("every preference histogram must have length %d" % n)
-    return np.stack(cols, axis=1), np.array([entropy(c) for c in cols])
-
-
 def batch_conjugate(P, G, kernel: GibbsKernel, entropies, need_grad: bool = True):
     """Conjugate values (m,) and gradients (s x m, or None) of many users at once.
 
@@ -424,7 +424,7 @@ def batch_conjugate(P, G, kernel: GibbsKernel, entropies, need_grad: bool = True
 
 def _one_user(p, g, kernel, need_grad):
     n, s = kernel.shape
-    P, entropies = _check_histograms([p], n)
+    P, entropies = _histograms(np.asarray(p, dtype=np.float64)[..., None], n, "p")
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (s,):
         raise ValueError("potential must have shape (%d,), got %s" % (s, (g.shape,)))

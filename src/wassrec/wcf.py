@@ -28,11 +28,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import RankDeficiencyError, SolverError, UnboundedDualError
-from .transport import (CostMatrix, GibbsKernel, _check_histograms, batch_conjugate,
-                        batch_sinkhorn)
+from .transport import CostMatrix, GibbsKernel, _histograms, batch_conjugate, batch_sinkhorn
 
 __all__ = [
     "TrainOptions",
@@ -170,7 +168,7 @@ def init_factors(n_cold: int, n_users: int, k: int, seed: int = 0):
     else:
         raise SolverError("could not draw a full-rank dictionary")
     Q, R = np.linalg.qr(D)
-    lam0 = solve_triangular(R, Q.T @ np.full(n_cold, 1.0 / n_cold))
+    lam0 = np.linalg.solve(R, Q.T @ np.full(n_cold, 1.0 / n_cold))
     lam = np.tile(lam0[:, None], (1, n_users))
     return D, lam
 
@@ -273,7 +271,7 @@ def lambda_step(D, P, kernel: GibbsKernel, state: DualState | None = None):
     rank = np.linalg.matrix_rank(D)
     if rank < k:
         raise RankDeficiencyError("dictionary", int(rank), k)
-    P_mat, ents = _check_histograms(P, kernel.shape[0])
+    P_mat, ents = _histograms(np.transpose(P), kernel.shape[0])
     m = P_mat.shape[1]
     if kernel.shape[1] != s:
         raise ValueError("dictionary rows %d do not match kernel columns %d"
@@ -286,7 +284,7 @@ def lambda_step(D, P, kernel: GibbsKernel, state: DualState | None = None):
 
     G, grads = _pgd(P_mat, _warm_start(state, s, m), kernel, ents, project, np.arange(m),
                     "loadings")
-    lam = solve_triangular(R, Q.T @ grads)
+    lam = np.linalg.solve(R, Q.T @ grads)
     return lam, _next_state(state, G, _primal_objective(D, lam, P_mat, kernel))
 
 
@@ -303,7 +301,7 @@ def d_step(lam, P, kernel: GibbsKernel, state: DualState | None = None):
     rank = np.linalg.matrix_rank(lam)
     if rank < k:
         raise RankDeficiencyError("loadings", int(rank), k)
-    P_mat, ents = _check_histograms(P, kernel.shape[0])
+    P_mat, ents = _histograms(np.transpose(P), kernel.shape[0])
     if P_mat.shape[1] != m:
         raise ValueError("loadings cover %d users but P has %d" % (m, P_mat.shape[1]))
     s = kernel.shape[1]
@@ -326,7 +324,7 @@ def d_step(lam, P, kernel: GibbsKernel, state: DualState | None = None):
 
     G, grads = _pgd(P_mat, _warm_start(state, s, m), kernel, ents, project,
                     np.zeros(m, dtype=np.intp), "dictionary")
-    D = solve_triangular(RL, QL.T @ grads.T).T
+    D = np.linalg.solve(RL, QL.T @ grads.T).T
     return D, _next_state(state, G, _primal_objective(D, lam, P_mat, kernel))
 
 
@@ -343,9 +341,9 @@ def train_wcf(P, M, k: int, gamma: float = 0.05,
     Returns the model with the best traced objective.
     """
     opts = opts or TrainOptions()
-    kernel = M if isinstance(M, GibbsKernel) else GibbsKernel.from_cost(M, gamma)
+    kernel = M if isinstance(M, GibbsKernel) else GibbsKernel(M, gamma)
     item_ids = M.col_ids if isinstance(M, CostMatrix) else tuple(range(kernel.shape[1]))
-    P_mat, _ = _check_histograms(P, kernel.shape[0])
+    P_mat, _ = _histograms(np.transpose(P), kernel.shape[0])
     m = P_mat.shape[1]
     s = kernel.shape[1]
     if user_ids is None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import GibbsKernel, _check_histograms, batch_conjugate, simplex
+from .transport import GibbsKernel, _histograms, batch_conjugate, simplex
 
 __all__ = [
     "UserInteractions",
@@ -111,9 +111,9 @@ def infer_cold(p, M, gamma: float | None = None) -> np.ndarray:
     else:
         if gamma is None:
             raise ValueError("gamma is required when M is a cost matrix")
-        kernel = GibbsKernel.from_cost(M, gamma)
+        kernel = GibbsKernel(M, gamma)
     p = np.asarray(p, dtype=np.float64)
-    P, entropies = _check_histograms(p.T if p.ndim == 2 else [p], kernel.shape[0])
+    P, entropies = _histograms(p if p.ndim == 2 else p[..., None], kernel.shape[0], "p")
     Q = batch_conjugate(P, np.zeros((kernel.shape[1], P.shape[1])), kernel, entropies)[1]
     return Q if p.ndim == 2 else Q[:, 0]
 

@@ -16,6 +16,8 @@ from wassrec import (
     conjugate_value,
     entropy,
     exact_ot,
+    infer_cold,
+    lambda_step,
     simplex,
     sinkhorn,
 )
@@ -199,7 +201,7 @@ class TestSinkhorn:
         # scaling iteration cannot even start, so this exercises the
         # log-domain path end to end.
         M, p0, q1, _ = movies
-        assert GibbsKernel(M, 1e-4).underflows
+        assert GibbsKernel(M, 1e-4).log_kernel.min() < math.log(np.finfo(float).tiny)
         res = sinkhorn(p0, q1, M, gamma=1e-4, max_iter=200_000)
         assert res.marginal_violation < 1e-8
         assert abs(res.transport_cost - 0.18) <= 1e-3
@@ -240,8 +242,10 @@ class TestGibbsKernel:
         rng = np.random.default_rng(1)
         M = rng.uniform(size=(3, 4))
         k = GibbsKernel(M, 0.05)
-        np.testing.assert_allclose(k.kernel, np.exp(-M / 0.05), rtol=1e-12)
-        assert not k.underflows
+        np.testing.assert_allclose(k.shifted_kernel * np.exp(k.row_shift)[:, None],
+                                   np.exp(-M / 0.05), rtol=1e-12)
+        assert k.shifted_kernel.max(axis=1).tolist() == [1.0] * 3
+        assert not k.log_kernel.min() < math.log(np.finfo(float).tiny)
 
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ValueError):
@@ -431,13 +435,13 @@ class TestBatchSinkhorn:
         # the plans as they are but push shifted products below the
         # normal float range, so at small gamma the repair has to run
         repairs = []
-        real = transport.logsumexp
+        real = transport._logsumexp
 
         def counting(*args, **kwargs):
             repairs[-1][1] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(transport, "logsumexp", counting)
+        monkeypatch.setattr(transport, "_logsumexp", counting)
 
         @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 0.0))
         @settings(max_examples=100, deadline=None)
@@ -511,3 +515,50 @@ class TestBatchSinkhorn:
             batch_sinkhorn(P, Q * np.array([1, 1, 0, 1]), kernel)
         with pytest.raises(ValueError, match="tol"):
             batch_sinkhorn(P, Q, kernel, tol=np.nan)
+
+
+def _corrupt(case, P):
+    """P with its column 1 made invalid as ``case`` says."""
+    P = P.copy()
+    if case == "negative":
+        P[0, 1] = -0.1
+    elif case == "nan":
+        P[0, 1] = np.nan
+    elif case == "zero-mass":
+        P[:, 1] = 0.0
+    else:  # wrong length
+        P = P[:-1]
+    return P
+
+
+class TestHistogramValidation:
+    # one validator checks every batch of preference histograms, whichever
+    # entry point receives it
+    CALLERS = {
+        "infer_cold": lambda P, kernel: infer_cold(P, kernel),
+        "lambda_step": lambda P, kernel: lambda_step(np.eye(3), P.T, kernel),
+        "batch_sinkhorn": lambda P, kernel: batch_sinkhorn(P, np.full((3, 4), 1 / 3), kernel),
+        "conjugate_value": lambda P, kernel: conjugate_value(P[:, 1], np.zeros(3), kernel),
+    }
+
+    @pytest.mark.parametrize("case", ["negative", "nan", "zero-mass", "wrong-length"])
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_bad_histogram_rejected(self, caller, case):
+        rng = np.random.default_rng(3)
+        kernel = GibbsKernel(rng.uniform(size=(5, 3)), 0.1)
+        P = _histograms(rng, 5, 4, zeros=True)
+        self.CALLERS[caller](P, kernel)  # the valid batch passes
+        with pytest.raises(ValueError, match="columns must be finite|must have shape"):
+            self.CALLERS[caller](_corrupt(case, P), kernel)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_entropies_match_per_column_entropy(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = (int(v) for v in rng.integers(1, 40, size=2))
+        X = _histograms(rng, n, m, zeros=True) * rng.uniform(0.1, 10.0, size=m)
+        H, ents = transport._histograms(X, n)
+        assert H.shape == (n, m) and H.flags.c_contiguous
+        for u in range(m):
+            np.testing.assert_array_equal(H[:, u], simplex(X[:, u]))
+            assert ents[u] == pytest.approx(entropy(H[:, u]), rel=0, abs=1e-15)
