@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     except SolverError as err:
         print("solver failure: %s" % err, file=sys.stderr)
         return 3
-    except (DataError, FileNotFoundError, ValueError) as err:
+    except (DataError, OSError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

@@ -326,20 +326,15 @@ def _reject_first_bad_row(path, rows, cells, outside):
 
 
 def filter_catalog(table: InteractionTable, genome: GenomeTable):
-    """Drop interactions on items without genomes, then empty users; repeat.
+    """Drop interactions on items without genomes, and with them empty users.
 
+    A user is only present through rows, so one restriction to the
+    genome's items also drops every user left without interactions.
     Returns the reduced table and the genome restricted to the items
     that still occur.  Rejects the combination outright if nothing
     survives.
     """
-    t = table
-    while True:
-        before = len(t)
-        t = t.restrict_items(genome.item_ids)
-        # users with no remaining records have no rows left, which is
-        # exactly "dropped"; the loop re-checks until the table is stable
-        if len(t) == before:
-            break
+    t = table.restrict_items(genome.item_ids)
     if len(t) == 0:
         raise DataError("no interactions survive catalog filtering")
     return t, genome.restrict(t.items)

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DataError",
+    "SolverError",
+    "ConvergenceError",
+    "UnboundedDualError",
+    "RankDeficiencyError",
+]
+
 
 class DataError(ValueError):
     """Raised when an input file or table violates the data contract."""

@@ -35,7 +35,6 @@ from .transport import CostMatrix, GibbsKernel, _histograms, batch_conjugate, ba
 __all__ = [
     "TrainOptions",
     "FactorModel",
-    "DualState",
     "init_factors",
     "lambda_step",
     "d_step",
@@ -92,18 +91,6 @@ class TrainOptions:
 
 
 @dataclass(frozen=True)
-class DualState:
-    """Dual potentials (one column per user) plus the objective trace.
-
-    The trace gains one entry per half-step; it starts at the objective
-    of the initial factors when produced by train_wcf.
-    """
-
-    potentials: np.ndarray
-    objective_trace: tuple
-
-
-@dataclass(frozen=True)
 class FactorModel:
     """Trained dictionary (s x k) and loadings (k x m) over cold items.
 
@@ -152,21 +139,17 @@ def init_factors(n_cold: int, n_users: int, k: int, seed: int = 0):
     Dictionary columns are iid uniform draws normalized onto the
     simplex; loadings start every user at the best approximation of
     the uniform histogram, so the first objective is finite and
-    identical across users.
+    identical across users.  A uniform draw is full rank with
+    probability one; a deficient one is caught by lambda_step's rank
+    check and redrawn by train_wcf.
     """
     if not 1 <= k <= min(n_cold, n_users):
         raise ValueError(
             "k must satisfy 1 <= k <= min(%d items, %d users), got %d"
             % (n_cold, n_users, k)
         )
-    rng = np.random.default_rng(seed)
-    for _ in range(5):
-        D = rng.uniform(size=(n_cold, k))
-        D /= D.sum(axis=0, keepdims=True)
-        if np.linalg.matrix_rank(D) == k:
-            break
-    else:
-        raise SolverError("could not draw a full-rank dictionary")
+    D = np.random.default_rng(seed).uniform(size=(n_cold, k))
+    D /= D.sum(axis=0, keepdims=True)
     Q, R = np.linalg.qr(D)
     lam0 = np.linalg.solve(R, Q.T @ np.full(n_cold, 1.0 / n_cold))
     lam = np.tile(lam0[:, None], (1, n_users))
@@ -192,7 +175,14 @@ def _pgd(P, G0, kernel, entropies, project, groups, block):
     stalls at a negligible projected gradient is frozen for the rest of
     the solve, a stall far from optimality is an error, and groups open
     after _MAX_INNER passes are named in a warning about ``block``.
+    ``G0`` warm-starts the potentials; None starts them at zero.
     """
+    shape = (kernel.shape[1], P.shape[1])
+    if G0 is None:
+        G0 = np.zeros(shape)
+    elif np.shape(G0) != shape:
+        raise ValueError("warm-start potentials have shape %s, expected %s"
+                         % ((np.shape(G0),), (shape,)))
     n_groups = int(groups.max()) + 1
     frozen = np.zeros(n_groups, dtype=bool)
     G = project(np.array(G0, dtype=np.float64))
@@ -243,28 +233,16 @@ def _primal_objective(D, lam, P_mat, kernel):
     return float(values.sum())
 
 
-def _warm_start(state, s, m):
-    G0 = state.potentials if state is not None else np.zeros((s, m))
-    if G0.shape != (s, m):
-        raise ValueError("warm-start potentials have shape %s, expected %s"
-                         % ((G0.shape,), ((s, m),)))
-    return G0
-
-
-def _next_state(state, G, objective):
-    trace = state.objective_trace if state is not None else ()
-    return DualState(potentials=G, objective_trace=trace + (objective,))
-
-
-def lambda_step(D, P, kernel: GibbsKernel, state: DualState | None = None):
+def lambda_step(D, P, kernel: GibbsKernel, G0=None):
     """Optimal loadings for a fixed dictionary, solved in the dual.
 
     Each user's potential is descended over the subspace D^T g = 0;
     the user's optimal histogram is the conjugate gradient there, and
     the loadings are its least-squares coordinates in the dictionary
     (QR-based, exact at convergence because the projected gradient is
-    precisely the out-of-span residual).  Returns the new loadings and
-    a DualState whose trace gains this half-step's objective.
+    precisely the out-of-span residual).  ``G0`` warm-starts the
+    potentials (s x m, zeros when None).  Returns the new loadings and
+    the final potentials.
     """
     D = np.asarray(D, dtype=np.float64)
     s, k = D.shape
@@ -282,19 +260,18 @@ def lambda_step(D, P, kernel: GibbsKernel, state: DualState | None = None):
     def project(G):
         return G - Q @ (Q.T @ G)
 
-    G, grads = _pgd(P_mat, _warm_start(state, s, m), kernel, ents, project, np.arange(m),
-                    "loadings")
-    lam = np.linalg.solve(R, Q.T @ grads)
-    return lam, _next_state(state, G, _primal_objective(D, lam, P_mat, kernel))
+    G, grads = _pgd(P_mat, G0, kernel, ents, project, np.arange(m), "loadings")
+    return np.linalg.solve(R, Q.T @ grads), G
 
 
-def d_step(lam, P, kernel: GibbsKernel, state: DualState | None = None):
+def d_step(lam, P, kernel: GibbsKernel, G0=None):
     """Optimal dictionary for fixed loadings, solved in the dual.
 
     The stacked potentials are descended over {G : G Lambda^T = 0};
     the users' optimal histograms are the conjugate gradients there and
     the dictionary is recovered by QR least squares against the
-    loadings.  Returns the new dictionary and the updated DualState.
+    loadings.  ``G0`` warm-starts the potentials as in lambda_step.
+    Returns the new dictionary and the final potentials.
     """
     lam = np.asarray(lam, dtype=np.float64)
     k, m = lam.shape
@@ -304,7 +281,6 @@ def d_step(lam, P, kernel: GibbsKernel, state: DualState | None = None):
     P_mat, ents = _histograms(np.transpose(P), kernel.shape[0])
     if P_mat.shape[1] != m:
         raise ValueError("loadings cover %d users but P has %d" % (m, P_mat.shape[1]))
-    s = kernel.shape[1]
 
     QL, RL = np.linalg.qr(lam.T)
     # predictions D lam_u all carry unit mass only if the all-ones
@@ -322,10 +298,8 @@ def d_step(lam, P, kernel: GibbsKernel, state: DualState | None = None):
     def project(G):
         return G - (G @ QL) @ QL.T
 
-    G, grads = _pgd(P_mat, _warm_start(state, s, m), kernel, ents, project,
-                    np.zeros(m, dtype=np.intp), "dictionary")
-    D = np.linalg.solve(RL, QL.T @ grads.T).T
-    return D, _next_state(state, G, _primal_objective(D, lam, P_mat, kernel))
+    G, grads = _pgd(P_mat, G0, kernel, ents, project, np.zeros(m, dtype=np.intp), "dictionary")
+    return np.linalg.solve(RL, QL.T @ grads.T).T, G
 
 
 def train_wcf(P, M, k: int, gamma: float = 0.05,
@@ -334,11 +308,13 @@ def train_wcf(P, M, k: int, gamma: float = 0.05,
 
     ``P`` is a sequence of per-user preference histograms over the
     interacted items; ``M`` the interacted-to-cold cost matrix (its
-    column ids become the model's item ids).  Dual potentials are
-    warm-started across outer iterations by projection onto each new
-    constraint set.  If a factor goes rank deficient it is redrawn (a
-    bounded number of times) and descent restarts from the redraw.
-    Returns the model with the best traced objective.
+    column ids become the model's item ids).  Each half-step's dual
+    potentials warm-start the next one, projected onto its constraint
+    set.  The objective trace holds the primal Sinkhorn value of the
+    initial factors and of the factors after every half-step.  If a
+    factor goes rank deficient both are redrawn (a bounded number of
+    times), the potentials restart at zero and the trace carries on.
+    Returns the model with the lowest traced objective.
     """
     opts = opts or TrainOptions()
     kernel = M if isinstance(M, GibbsKernel) else GibbsKernel(M, gamma)
@@ -352,40 +328,39 @@ def train_wcf(P, M, k: int, gamma: float = 0.05,
     if len(user_ids) != m:
         raise ValueError("user_ids must name the %d histograms" % m)
 
-    D, lam = init_factors(s, m, k, seed=opts.seed)
-    trace = (_primal_objective(D, lam, P_mat, kernel),)
-    state = DualState(potentials=np.zeros((s, m)), objective_trace=trace)
+    trace, best = [], None
 
-    best = (trace[0], D, lam)
+    def score(D, lam):
+        nonlocal best
+        trace.append(_primal_objective(D, lam, P_mat, kernel))
+        if best is None or trace[-1] < best[0]:
+            best = (trace[-1], D, lam)
+
+    D, lam = init_factors(s, m, k, seed=opts.seed)
+    score(D, lam)
+    G = None
     prev = trace[0]
     redraws = 0
     outer = 0
     rng = np.random.default_rng(opts.seed + 1)
     while outer < opts.max_outer:
         try:
-            lam_new, state = lambda_step(D, P_mat.T, kernel, state)
-            lam = lam_new
-            if state.objective_trace[-1] < best[0]:
-                best = (state.objective_trace[-1], D.copy(), lam.copy())
-            D_new, state = d_step(lam, P_mat.T, kernel, state)
-            D = D_new
+            lam, G = lambda_step(D, P_mat.T, kernel, G)
+            score(D, lam)
+            D, G = d_step(lam, P_mat.T, kernel, G)
         except RankDeficiencyError as err:
             redraws += 1
             if redraws > _RANK_RETRIES:
                 raise
             warnings.warn("redrawing %s after rank deficiency (attempt %d)"
                           % (err.factor, redraws))
-            fresh_seed = int(rng.integers(2 ** 31))
-            D, lam = init_factors(s, m, k, seed=fresh_seed)
-            state = DualState(potentials=np.zeros((s, m)),
-                              objective_trace=state.objective_trace)
+            D, lam = init_factors(s, m, k, seed=int(rng.integers(2 ** 31)))
+            G = None
             continue
-        cur = state.objective_trace[-1]
-        if cur < best[0]:
-            best = (cur, D.copy(), lam.copy())
-        if abs(cur - prev) <= opts.tol * max(1.0, abs(prev)):
+        score(D, lam)
+        if abs(trace[-1] - prev) <= opts.tol * max(1.0, abs(prev)):
             break
-        prev = cur
+        prev = trace[-1]
         outer += 1
 
     _, D_best, lam_best = best
@@ -395,7 +370,7 @@ def train_wcf(P, M, k: int, gamma: float = 0.05,
         gamma=kernel.gamma,
         item_ids=item_ids,
         user_ids=user_ids,
-        objective_trace=state.objective_trace,
+        objective_trace=trace,
     )
 
 

@@ -78,6 +78,19 @@ class TestUsage:
     def test_bad_ratio_value(self):
         assert main(["train", "--algorithm", "wf", "--ratio", "5:1"]) == 1
 
+    @pytest.mark.parametrize("case", ["ratings-is-a-directory", "out-is-a-file"])
+    def test_unusable_path_exits_2(self, tmp_path, capsys, case):
+        # the OS refuses the path (IsADirectoryError, NotADirectoryError):
+        # a data error, not a traceback
+        ratings, out = RATINGS, tmp_path / "out"
+        if case == "ratings-is-a-directory":
+            ratings = str(tmp_path)
+        else:
+            out.write_text("")
+        rc = main(["prepare", "--ratings", ratings, "--genome", GENOME, "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_import_leaves_scipy_optimize_unloaded(self):
         # every CLI stage starts by importing the package, whose runtime
         # path is NumPy only; SciPy is loaded only when exact_ot runs

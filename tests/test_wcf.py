@@ -17,7 +17,6 @@ from wassrec import (
     sinkhorn,
 )
 from wassrec.wcf import (
-    DualState,
     FactorModel,
     TrainOptions,
     d_step,
@@ -115,10 +114,9 @@ class TestLambdaStep:
         kernel = GibbsKernel(M, 0.05)
         P = [rng.dirichlet(np.ones(4)) for _ in range(m)]
         D, _ = init_factors(s, m, s, seed=1)
-        lam, state = lambda_step(D, P, kernel)
+        lam, _ = lambda_step(D, P, kernel)
         for u, p in enumerate(P):
             np.testing.assert_allclose(D @ lam[:, u], infer_cold(p, kernel), atol=1e-10)
-        assert len(state.objective_trace) == 1
 
     def test_matches_constrained_grid_search(self):
         # k = 1 and D uniform: the dual feasible set is {sum g = 0},
@@ -133,8 +131,8 @@ class TestLambdaStep:
         p = rng.dirichlet(np.ones(n))
         D = np.full((s, 1), 1.0 / s)
 
-        lam, state = lambda_step(D, [p], kernel)
-        g_lib = state.potentials[:, 0]
+        lam, G = lambda_step(D, [p], kernel)
+        g_lib = G[:, 0]
         val_lib = float(conj_values_grid(p, g_lib[:, None], M, gamma)[0])
 
         B = np.stack([
@@ -175,12 +173,13 @@ class TestLambdaStep:
         kernel = GibbsKernel(M, 0.1)
         P = [rng.dirichlet(np.ones(3)) for _ in range(3)]
         D, _ = init_factors(4, 3, 2, seed=2)
-        _, state = lambda_step(D, P, kernel)
+        lam, G = lambda_step(D, P, kernel)
         vals, _ = batch_conjugate(
-            np.stack(P, axis=1), state.potentials, kernel,
+            np.stack(P, axis=1), G, kernel,
             np.array([entropy(p) for p in P]), need_grad=False,
         )
-        assert state.objective_trace[-1] == pytest.approx(float(-vals.sum()), abs=1e-6)
+        primal = wcf._primal_objective(D, lam, np.stack(P, axis=1), kernel)
+        assert primal == pytest.approx(float(-vals.sum()), abs=1e-6)
 
 
 class TestDStep:
@@ -193,8 +192,8 @@ class TestDStep:
         kernel = GibbsKernel(M, 0.05)
         P = [rng.dirichlet(np.ones(n)) for _ in range(m)]
         lam = rng.uniform(0.5, 1.5, size=(m, m))
-        D, state = d_step(lam, P, kernel)
-        np.testing.assert_allclose(state.potentials, np.zeros((s, m)), atol=1e-12)
+        D, G = d_step(lam, P, kernel)
+        np.testing.assert_allclose(G, np.zeros((s, m)), atol=1e-12)
         for u, p in enumerate(P):
             np.testing.assert_allclose(D @ lam[:, u], infer_cold(p, kernel), atol=1e-10)
 
@@ -212,9 +211,9 @@ class TestDStep:
         # can give every user a unit-mass prediction
         lam = np.array([[2.0, 2.0]])
 
-        D, state = d_step(lam, P, kernel)
+        D, G = d_step(lam, P, kernel)
         val_lib = float(sum(
-            conj_values_grid(P[u], state.potentials[:, u][:, None], M, gamma)[0]
+            conj_values_grid(P[u], G[:, u][:, None], M, gamma)[0]
             for u in range(2)
         ))
 
@@ -306,6 +305,16 @@ class TestTrainWcf:
         trace = np.array(model.objective_trace)
         assert trace.size >= 3 and trace.size % 2 == 1
         assert np.all(np.diff(trace) <= 1e-6)
+
+    def test_returns_factors_of_lowest_traced_entry(self):
+        rng = np.random.default_rng(13)
+        n, s, m, k = 3, 5, 8, 2
+        M = rng.uniform(size=(n, s))
+        P = [rng.dirichlet(np.ones(n)) for _ in range(m)]
+        model = train_wcf(P, M, k=k, gamma=0.05)
+        value = wcf._primal_objective(model.dictionary, model.loadings, np.stack(P, axis=1),
+                                      GibbsKernel(M, 0.05))
+        assert value == pytest.approx(min(model.objective_trace), rel=1e-12)
 
     def test_user_and_item_ids_attached(self):
         rng = np.random.default_rng(2)
@@ -428,14 +437,14 @@ class TestDualityEndToEnd:
         kernel = GibbsKernel(M, 0.1)
         P = [rng.dirichlet(np.ones(n)) for _ in range(m)]
         D, _ = init_factors(s, m, k, seed=0)
-        lam, state = lambda_step(D, P, kernel)
+        lam, G = lambda_step(D, P, kernel)
         primal = sum(
             sinkhorn(P[u], wcf._clean_histogram(D @ lam[:, u]), M, 0.1,
                      tol=1e-10, max_iter=100_000).regularized_value
             for u in range(m)
         )
         vals, _ = batch_conjugate(
-            np.stack(P, axis=1), state.potentials, kernel,
+            np.stack(P, axis=1), G, kernel,
             np.array([entropy(p) for p in P]), need_grad=False,
         )
         assert primal == pytest.approx(float(-vals.sum()), abs=1e-6)
@@ -495,14 +504,14 @@ class TestLineSearchStall:
         monkeypatch.setattr(wcf, "_INNER_TOL", tol)
         evaluated = self._no_decrease(monkeypatch)
 
-        lam, state = lambda_step(D, P, kernel)
+        lam, G = lambda_step(D, P, kernel)
         # one failed search: evaluations at t = 1, 1/2, ... down to the
         # smallest step, all users in each batch, and never again
         steps, t = 0, wcf._STEP_INIT
         while t >= wcf._MIN_STEP:
             steps, t = steps + 1, t * wcf._STEP_SHRINK
         assert evaluated == [len(P)] * steps
-        np.testing.assert_allclose(state.potentials, 0.0, atol=1e-15)
+        np.testing.assert_allclose(G, 0.0, atol=1e-15)
         assert np.all(np.isfinite(lam))
 
 
@@ -557,10 +566,10 @@ class TestInnerSolve:
         P, kernel, D, _ = self._problem()
         monkeypatch.setattr(wcf, "_MAX_INNER", 3)
         with pytest.warns(UserWarning) as record:
-            _, state = lambda_step(D, P, kernel)
+            _, G = lambda_step(D, P, kernel)
         Q, _ = np.linalg.qr(D)
         ents = np.array([entropy(p) for p in P])
-        _, grads = batch_conjugate(np.stack(P, axis=1), state.potentials, kernel, ents)
+        _, grads = batch_conjugate(np.stack(P, axis=1), G, kernel, ents)
         groups, norm = self._reported(record, "loadings")
         expected = self._open_groups(grads, lambda G: G - Q @ (Q.T @ G), np.arange(len(P)))
         assert groups == expected[0] > 0
@@ -570,15 +579,22 @@ class TestInnerSolve:
         P, kernel, _, lam = self._problem()
         monkeypatch.setattr(wcf, "_MAX_INNER", 3)
         with pytest.warns(UserWarning) as record:
-            _, state = d_step(lam, P, kernel)
+            _, G = d_step(lam, P, kernel)
         QL, _ = np.linalg.qr(lam.T)
         ents = np.array([entropy(p) for p in P])
-        _, grads = batch_conjugate(np.stack(P, axis=1), state.potentials, kernel, ents)
+        _, grads = batch_conjugate(np.stack(P, axis=1), G, kernel, ents)
         groups, norm = self._reported(record, "dictionary")
         expected = self._open_groups(grads, lambda G: G - (G @ QL) @ QL.T,
                                      np.zeros(len(P), dtype=np.intp))
         assert groups == expected[0] == 1
         assert norm == pytest.approx(expected[1], rel=1e-4)
+
+    @pytest.mark.parametrize("step", ["lambda_step", "d_step"])
+    def test_wrong_shape_warm_start_rejected(self, step):
+        P, kernel, D, lam = self._problem()
+        factor = D if step == "lambda_step" else lam
+        with pytest.raises(ValueError, match="warm-start potentials have shape"):
+            getattr(wcf, step)(factor, P, kernel, np.zeros((6, len(P) + 1)))
 
     def test_converged_solves_warn_nothing(self):
         P, kernel, D, lam = self._problem()
