@@ -10,8 +10,9 @@ to the WASSREC_OUT environment variable, then ./wassrec-out):
   ranked predictions (and wcf model directories) under <out>/runs/:
   each user's cold items by score descending, ties to the smaller id.
 * evaluate: score every run against the held-out cold interactions and
-  write per-user and summary tables under <out>/reports/.  Each user in
-  a prediction file must rank exactly the fold's cold items.
+  write per-user and summary tables under <out>/reports/.  Each run
+  must hold exactly the split manifest's folds, and each user in a
+  prediction file must rank exactly the fold's cold items.
 
 Each flag value is checked once, by its argparse type, before any file
 is read or written.  ``main`` resolves the output directory to a Path
@@ -46,7 +47,7 @@ from .dataio import (
 )
 from .exceptions import DataError, SolverError
 from .metrics import evaluate_run, write_report_files
-from .wcf import TrainOptions, _clean_histogram, save_model, train_wcf
+from .wcf import _clean_histogram, save_model, train_wcf
 from .wfilter import infer_cold, rank_order
 
 __all__ = ["main", "app", "build_parser"]
@@ -54,6 +55,7 @@ __all__ = ["main", "app", "build_parser"]
 OUT_ENV = "WASSREC_OUT"
 DEFAULT_OUT = "wassrec-out"
 PREDICTION_HEADER = "user\trank\titem\tscore"
+WRITE_BLOCK = 1 << 10  # rows formatted per write; larger blocks raise train's peak RSS
 
 
 def _finite(kind, positive=True):
@@ -122,13 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_prepare(args) -> int:
+    # an unusable --out fails here, before the inputs are parsed
+    prepared = args.out / "prepared"
+    prepared.mkdir(parents=True, exist_ok=True)
+
     table = load_interactions(args.ratings, fmt=args.format)
     table = binarize(table, threshold=args.threshold)
     genome = load_genome(args.genome)
     table, genome = filter_catalog(table, genome)
-
-    prepared = args.out / "prepared"
-    prepared.mkdir(parents=True, exist_ok=True)
 
     order = np.lexsort((table.timestamps, table.item_ids, table.user_ids))
     _write_table(prepared / "interactions.tsv", "", "%d\t%d\t%.17g\t%d\n",
@@ -170,12 +173,12 @@ def _fold_histograms(split):
     return users.tolist(), H.T
 
 
-def _write_table(path, header, fmt, *columns, block=1 << 14) -> None:
-    """Write ``header``, then aligned columns as lines of ``fmt``, one % per block of rows."""
+def _write_table(path, header, fmt, *columns) -> None:
+    """Write ``header``, then aligned columns as lines of ``fmt``, one % per WRITE_BLOCK rows."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
-        for start in range(0, len(columns[0]), block):
-            rows = list(zip(*(col[start:start + block].tolist() for col in columns)))
+        for start in range(0, len(columns[0]), WRITE_BLOCK):
+            rows = list(zip(*(col[start:start + WRITE_BLOCK].tolist() for col in columns)))
             fh.write(fmt * len(rows) % tuple(chain.from_iterable(rows)))
 
 
@@ -210,8 +213,8 @@ def cmd_train(args) -> int:
                 print("fold %d: latent dim clamped to %d (%d cold items, "
                       "%d interacted items, %d users)"
                       % (split.fold, k, s, n, len(users)), file=sys.stderr)
-            opts = TrainOptions(tol=args.tol, max_outer=args.max_outer, seed=args.seed)
-            model = train_wcf(P.T, cost, k=k, gamma=args.gamma, opts=opts, user_ids=users)
+            model = train_wcf(P.T, cost, k=k, gamma=args.gamma, tol=args.tol,
+                              max_outer=args.max_outer, seed=args.seed, user_ids=users)
             save_model(model, run_dir / "model")
             trace = model.objective_trace
             print("fold %d: objective %.6g -> %.6g over %d half-steps"
@@ -224,7 +227,7 @@ def cmd_train(args) -> int:
                      "%d\t%d\t%d\t%.17g\n", np.repeat(users, s),
                      np.tile(np.arange(1, s + 1), len(users)),
                      np.asarray(split.cold_items)[order.T].ravel(),
-                     np.take_along_axis(Q, order, axis=0).T.ravel(), block=s)
+                     np.take_along_axis(Q, order, axis=0).T.ravel())
         print("fold %d: wrote %d rankings -> %s"
               % (split.fold, len(users), run_dir / "predictions.tsv"))
         del Q, order  # not held through the next fold's solve
@@ -273,18 +276,22 @@ def _read_predictions(path, cold):
 
 def cmd_evaluate(args) -> int:
     out = args.out
-    manifest = read_split_manifest(out / "splits" / "manifest.json")
+    manifest_path = out / "splits" / "manifest.json"
+    manifest = read_split_manifest(manifest_path)
+    folds = sorted("fold%d" % f["fold"] for f in manifest["folds"])
     table = load_interactions(out / "prepared" / "interactions.tsv")
 
     runs_dir = out / "runs"
-    if args.algorithm:
-        algorithms = [args.algorithm]
-    else:
-        if not runs_dir.is_dir():
-            raise DataError("no runs directory at %s" % runs_dir)
-        algorithms = sorted(d.name for d in runs_dir.iterdir() if d.is_dir())
-        if not algorithms:
-            raise DataError("no runs found under %s" % runs_dir)
+    algorithms = ([args.algorithm] if args.algorithm
+                  else sorted(d.name for d in runs_dir.glob("*") if d.is_dir()))
+    if not algorithms:
+        raise DataError("no runs found under %s" % runs_dir)
+    # a later train into the same --out rewrites the manifest
+    for algo in algorithms:
+        found = sorted(d.name for d in (runs_dir / algo).glob("fold*") if d.is_dir())
+        if found != folds:
+            raise DataError("%s holds %s, but the split manifest %s lists %s"
+                            % (runs_dir / algo, found, manifest_path, folds))
 
     summary_rows = []
     for algo in algorithms:
@@ -298,7 +305,7 @@ def cmd_evaluate(args) -> int:
             if dropped:
                 print("%s fold %d: %d evaluable user(s) had no predictions"
                       % (algo, fold, dropped), file=sys.stderr)
-            r = evaluate_run((users, ranked), test.restrict_users(users),
+            r = evaluate_run(dict(zip(users.tolist(), ranked)), test.restrict_users(users),
                              scope=args.scope, fold=fold)
             reports.append(r)
             rows.append((algo, str(fold), args.scope, r.evaluated_user_count,

@@ -27,16 +27,16 @@ __all__ = [
 
 
 def _ranked_ids(ranked):
-    """Accept a RankedList or any sequence of item ids."""
-    ids = list(getattr(ranked, "item_ids", ranked))
+    """A sequence of item ids as a duplicate-free list."""
+    ids = list(ranked)
     if len(set(ids)) != len(ids):
         raise ValueError("ranking contains duplicate items")
     return ids
 
 
 def _item_array(ranked):
-    """A RankedList's or a sequence's item ids as an int64 array."""
-    ids = np.asarray(getattr(ranked, "item_ids", ranked))
+    """A sequence of item ids as an int64 array."""
+    ids = np.asarray(ranked)
     if ids.size and ids.dtype.kind not in "iu":
         raise ValueError("rankings must hold integer item ids")
     return ids.astype(np.int64, copy=False)
@@ -124,27 +124,20 @@ def evaluate_run(predictions, test_interactions, scope: int = 20,
                  fold: int | None = None) -> EvaluationReport:
     """Score every predicted user against their held-out positives.
 
-    ``predictions`` maps user id to a ranking of the cold catalog (item
-    ids, or a RankedList), or is a pair (users, items) of user ids and a
-    users x ranks matrix holding one ranking per row; item ids are
-    integers.  ``test_interactions`` is an interaction table over cold
-    items.  Users whose ranking exists but who have no test positives
-    are excluded from the means and counted.  A user with test
-    positives but no ranking is an error: upstream code must either
-    predict for every evaluable user or drop the user from the test
-    table deliberately.  The scores equal ``average_precision``,
-    ``ndcg_at`` and ``recall_at`` bit for bit, and a ranking those
-    reject raises their error.
+    ``predictions`` maps user id to a ranking of the cold catalog, a
+    sequence of integer item ids.  ``test_interactions`` is an
+    interaction table over cold items.  Users whose ranking exists but
+    who have no test positives are excluded from the means and counted.
+    A user with test positives but no ranking is an error: upstream code
+    must either predict for every evaluable user or drop the user from
+    the test table deliberately.  The scores equal
+    ``average_precision``, ``ndcg_at`` and ``recall_at`` bit for bit,
+    and a ranking those reject raises their error.
     """
     if scope < 1:
         raise ValueError("scope must be at least 1")
-    if isinstance(predictions, tuple):
-        users, rankings = np.asarray(predictions[0]), _item_array(predictions[1])
-        if users.ndim != 1 or rankings.ndim != 2 or rankings.shape[0] != users.size:
-            raise ValueError("predictions must pair n user ids with an n x ranks item matrix")
-    else:
-        given = list(predictions)
-        users = np.array([int(u) for u in given], dtype=np.int64)
+    given = list(predictions)
+    users = np.array([int(u) for u in given], dtype=np.int64)
     pos_users = np.unique(test_interactions.user_ids)
     unpredicted = pos_users[~np.isin(pos_users, users)]
     if unpredicted.size:
@@ -158,14 +151,9 @@ def evaluate_run(predictions, test_interactions, scope: int = 20,
 
     # every evaluable ranking, flattened, with its row and rank
     users = users[evaluable]
-    if isinstance(predictions, tuple):
-        rankings = rankings[evaluable]
-        lengths = np.full(users.size, rankings.shape[1])
-        items = rankings.ravel()
-    else:
-        rankings = [_item_array(predictions[u]) for u, e in zip(given, evaluable) if e]
-        lengths = np.array([r.size for r in rankings])
-        items = np.concatenate(rankings)
+    rankings = [_item_array(predictions[u]) for u, e in zip(given, evaluable) if e]
+    lengths = np.array([r.size for r in rankings])
+    items = np.concatenate(rankings)
     row = np.repeat(np.arange(users.size), lengths)
     rank = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 

@@ -365,11 +365,11 @@ def sinkhorn(p, q, M, gamma: float, tol: float = DEFAULT_TOL,
     )
 
 
-def exact_ot(p, q, M, max_cells: int = MAX_EXACT_CELLS) -> TransportPlan:
+def exact_ot(p, q, M) -> TransportPlan:
     """Exact (unregularized) optimal transport via linear programming.
 
     A reference solver for small instances: refuses problems with more
-    than ``max_cells`` plan entries.  ``regularized_value`` equals
+    than MAX_EXACT_CELLS plan entries.  ``regularized_value`` equals
     ``transport_cost`` since there is no entropy term at gamma = 0.
     """
     # imported here so that importing the package does not load SciPy
@@ -377,10 +377,10 @@ def exact_ot(p, q, M, max_cells: int = MAX_EXACT_CELLS) -> TransportPlan:
 
     p, q, M_full = _check_pair(p, q, M)
     n, s = M_full.shape
-    if n * s > max_cells:
+    if n * s > MAX_EXACT_CELLS:
         raise ValueError(
             "exact solve refused: %d plan cells exceed the cap of %d"
-            % (n * s, max_cells)
+            % (n * s, MAX_EXACT_CELLS)
         )
 
     A = np.zeros((n + s, n * s))

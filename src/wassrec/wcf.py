@@ -33,7 +33,6 @@ from .exceptions import RankDeficiencyError, SolverError, UnboundedDualError
 from .transport import CostMatrix, GibbsKernel, _histograms, batch_conjugate, batch_sinkhorn
 
 __all__ = [
-    "TrainOptions",
     "FactorModel",
     "init_factors",
     "lambda_step",
@@ -65,29 +64,6 @@ _RANK_RETRIES = 3
 _MASS_TOL = 1e-3
 
 MODEL_FORMAT = "wassrec-factor-model/1"
-
-
-@dataclass(frozen=True)
-class TrainOptions:
-    """Settings of the block-coordinate training loop.
-
-    ``tol`` is the relative objective change across one outer pass that
-    counts as converged, ``max_outer`` caps the outer passes, and
-    ``seed`` draws the initial dictionary.  Both blocks' inner dual
-    solves share one group-wise projected gradient descent with fixed
-    private tolerances; the objective trace is the primal Sinkhorn
-    value of the current factors.
-    """
-
-    tol: float = 1e-5
-    max_outer: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise ValueError("tol must be positive and finite, got %r" % (self.tol,))
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -302,29 +278,33 @@ def d_step(lam, P, kernel: GibbsKernel, G0=None):
     return np.linalg.solve(RL, QL.T @ grads.T).T, G
 
 
-def train_wcf(P, M, k: int, gamma: float = 0.05,
-              opts: TrainOptions | None = None, user_ids=None) -> FactorModel:
+def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: int = 50,
+              seed: int = 0, user_ids=None) -> FactorModel:
     """Alternate loadings and dictionary updates until the objective settles.
 
     ``P`` is a sequence of per-user preference histograms over the
-    interacted items; ``M`` the interacted-to-cold cost matrix (its
-    column ids become the model's item ids).  Each half-step's dual
-    potentials warm-start the next one, projected onto its constraint
-    set.  The objective trace holds the primal Sinkhorn value of the
-    initial factors and of the factors after every half-step.  If a
-    factor goes rank deficient both are redrawn (a bounded number of
+    interacted items; ``M`` the interacted-to-cold cost, an array or a
+    CostMatrix (whose column ids become the model's item ids), smoothed
+    at ``gamma``.  ``tol`` is the relative objective change across one
+    outer pass that counts as converged, ``max_outer`` caps the outer
+    passes, and ``seed`` draws the initial dictionary.  Each half-step's
+    dual potentials warm-start the next one, projected onto its
+    constraint set.  The objective trace holds the primal Sinkhorn value
+    of the initial factors and of the factors after every half-step.  If
+    a factor goes rank deficient both are redrawn (a bounded number of
     times), the potentials restart at zero and the trace carries on.
     Returns the model with the lowest traced objective.
     """
-    opts = opts or TrainOptions()
-    kernel = M if isinstance(M, GibbsKernel) else GibbsKernel(M, gamma)
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
+    if max_outer < 1:
+        raise ValueError("max_outer must be at least 1")
+    kernel = GibbsKernel(M, gamma)
     item_ids = M.col_ids if isinstance(M, CostMatrix) else tuple(range(kernel.shape[1]))
     P_mat, _ = _histograms(np.transpose(P), kernel.shape[0])
     m = P_mat.shape[1]
     s = kernel.shape[1]
-    if user_ids is None:
-        user_ids = tuple(range(m))
-    user_ids = tuple(user_ids)
+    user_ids = tuple(range(m) if user_ids is None else user_ids)
     if len(user_ids) != m:
         raise ValueError("user_ids must name the %d histograms" % m)
 
@@ -336,14 +316,14 @@ def train_wcf(P, M, k: int, gamma: float = 0.05,
         if best is None or trace[-1] < best[0]:
             best = (trace[-1], D, lam)
 
-    D, lam = init_factors(s, m, k, seed=opts.seed)
+    D, lam = init_factors(s, m, k, seed=seed)
     score(D, lam)
     G = None
     prev = trace[0]
     redraws = 0
     outer = 0
-    rng = np.random.default_rng(opts.seed + 1)
-    while outer < opts.max_outer:
+    rng = np.random.default_rng(seed + 1)
+    while outer < max_outer:
         try:
             lam, G = lambda_step(D, P_mat.T, kernel, G)
             score(D, lam)
@@ -358,7 +338,7 @@ def train_wcf(P, M, k: int, gamma: float = 0.05,
             G = None
             continue
         score(D, lam)
-        if abs(trace[-1] - prev) <= opts.tol * max(1.0, abs(prev)):
+        if abs(trace[-1] - prev) <= tol * max(1.0, abs(prev)):
             break
         prev = trace[-1]
         outer += 1

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -25,6 +26,7 @@ from wassrec import (
     predict_user,
     rank_items,
     recall_at,
+    train_wcf,
 )
 from wassrec.cli import main
 
@@ -88,6 +90,17 @@ class TestUsage:
         else:
             out.write_text("")
         rc = main(["prepare", "--ratings", ratings, "--genome", GENOME, "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_unusable_out_refused_before_parsing(self, tmp_path, monkeypatch, capsys):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("inputs parsed before --out was checked")
+
+        monkeypatch.setattr(cli, "load_interactions", no_parse)
+        out = tmp_path / "out"
+        out.write_text("")
+        rc = main(["prepare", "--ratings", RATINGS, "--genome", GENOME, "--out", str(out)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
@@ -384,6 +397,23 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert str(path) in err and repr(key) in err
 
+    def test_folds_must_match_the_manifest(self, tmp_path, capsys):
+        # a second train with fewer folds rewrites the split manifest;
+        # the first run's extra fold must not be dropped silently
+        out = tmp_path / "o"
+        assert main(["prepare", "--ratings", RATINGS, "--genome", GENOME,
+                     "--out", str(out)]) == 0
+        assert main(["train", "--algorithm", "wcf", "--latent-dim", "2",
+                     "--folds", "2", "--max-outer", "1", "--out", str(out)]) == 0
+        assert main(["train", "--algorithm", "wf", "--folds", "1",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "['fold0', 'fold1']" in err and "['fold0']" in err
+        assert not (out / "reports").exists()
+        assert main(["evaluate", "--algorithm", "wf", "--out", str(out)]) == 0
+
 
 VALID_ROWS = ["1\t1\t10\t0.5", "1\t2\t20\t0.25", "2\t1\t20\t0.75", "2\t2\t10\t0.125"]
 
@@ -496,6 +526,9 @@ class TestExperimentConfig:
         assert (train.gamma, train.latent_dim, train.ratio) == (0.05, 30, "3:1")
         assert (train.seed, train.folds, train.tol, train.max_outer) == (0, None, 1e-5, 50)
         assert (evaluate.scope, evaluate.algorithm) == (20, None)
+        library = inspect.signature(train_wcf).parameters
+        assert (train.tol, train.max_outer, train.seed) == tuple(
+            library[name].default for name in ("tol", "max_outer", "seed"))
 
     def test_paths_are_coerced(self, tmp_path, monkeypatch):
         seen = []

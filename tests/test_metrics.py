@@ -220,12 +220,6 @@ class TestEvaluateRunAgainstScalarMetrics:
         scores = [want[u] for u in sorted(want)]
         assert (rep.mean_ap, rep.mean_ndcg, rep.mean_recall) == tuple(
             sum(s[k] for s in scores) / len(scores) for k in range(3))
-        lengths = {len(r) for r in predictions.values()}
-        if len(lengths) == 1:  # the same run as one users x ranks matrix
-            users = sorted(predictions)
-            matrix = np.array([predictions[u] for u in users], dtype=np.int64)
-            matrix = matrix.reshape(len(users), lengths.pop())
-            assert evaluate_run((np.array(users), matrix), test, scope=scope) == rep
 
     @pytest.mark.parametrize("predictions, rows", [
         ({1: [10, 11, 10], 2: [10]}, [(1, 10), (2, 10)]),

@@ -18,7 +18,6 @@ from wassrec import (
 )
 from wassrec.wcf import (
     FactorModel,
-    TrainOptions,
     d_step,
     init_factors,
     lambda_step,
@@ -353,13 +352,23 @@ class TestTrainWcf:
             train_wcf(P, M, k=2, gamma=0.05)  # k > min(s, m)
         with pytest.raises(ValueError):
             train_wcf(P, M, k=1, gamma=0.05, user_ids=(1, 2))
-        with pytest.raises(ValueError):
-            TrainOptions(tol=-1.0)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            train_wcf(P, M, k=1, gamma=0.05, tol=-1.0)
+        with pytest.raises(ValueError, match="max_outer must be at least 1"):
+            train_wcf(P, M, k=1, gamma=0.05, max_outer=0)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
-            TrainOptions(tol=tol)
+            train_wcf([np.array([0.5, 0.5])], np.ones((2, 3)), k=1, gamma=0.05, tol=tol)
+
+    def test_rejects_a_kernel_for_the_cost(self):
+        # the kernel's own gamma would silently override ``gamma``
+        rng = np.random.default_rng(2)
+        M = rng.uniform(size=(3, 4))
+        P = [rng.dirichlet(np.ones(3)) for _ in range(4)]
+        with pytest.raises(TypeError, match="GibbsKernel"):
+            train_wcf(P, GibbsKernel(M, 0.1), k=2, gamma=0.05)
 
 
 class TestPredictAndPersistence:
