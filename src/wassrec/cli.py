@@ -137,7 +137,8 @@ def cmd_prepare(args) -> int:
     _write_table(prepared / "interactions.tsv", "", "%d\t%d\t%.17g\t%d\n",
                  *(col[order] for col in (table.user_ids, table.item_ids,
                                           table.ratings, table.timestamps)))
-    _write_table(prepared / "genome.csv", "movieId,tagId,relevance\n", "%d,%d,%.17g\n",
+    # %r of a float is its shortest text that reads back to the same value
+    _write_table(prepared / "genome.csv", "movieId,tagId,relevance\n", "%d,%d,%r\n",
                  np.repeat(genome.item_ids, genome.tag_ids.size),
                  np.tile(genome.tag_ids, genome.item_ids.size), genome.relevance.ravel())
 

@@ -1,18 +1,18 @@
 """Interaction logs, tag-genome vectors, and cold-start experiment splits.
 
 Files are parsed as whole arrays first: one structured ``np.loadtxt``
-per file, then vectorized checks.  A rating log that does not parse
-that way (a malformed line, a non-finite rating, the ``::`` format)
-goes through a line-by-line parser, because the malformed-line budget
-is part of the contract: a few bad lines are skipped and reported, too
-many are a hard error.  A genome has no such budget, so it reads lines
-again only to name the first bad one.
+per file, then vectorized checks.  Each file also has one complete
+line reader that defines its behaviour, used when the array path
+fails: a rating log that does not parse as an array (a malformed line,
+a non-finite rating, the ``::`` format) is read line by line, because
+the malformed-line budget is part of the contract: a few bad lines are
+skipped and reported, too many are a hard error.  A genome has no such
+budget; its line reader raises at the first bad line.
 """
 
 import json
 import warnings
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,15 +78,16 @@ class InteractionTable:
     def items(self) -> np.ndarray:
         return np.unique(self.item_ids)
 
+    def _select(self, rows) -> "InteractionTable":
+        """The records at ``rows``, a mask or an index array."""
+        return InteractionTable(self.user_ids[rows], self.item_ids[rows],
+                                self.ratings[rows], self.timestamps[rows])
+
     def restrict_items(self, keep) -> "InteractionTable":
-        mask = np.isin(self.item_ids, np.asarray(list(keep), dtype=np.int64))
-        return InteractionTable(self.user_ids[mask], self.item_ids[mask],
-                                self.ratings[mask], self.timestamps[mask])
+        return self._select(np.isin(self.item_ids, np.asarray(list(keep), dtype=np.int64)))
 
     def restrict_users(self, keep) -> "InteractionTable":
-        mask = np.isin(self.user_ids, np.asarray(list(keep), dtype=np.int64))
-        return InteractionTable(self.user_ids[mask], self.item_ids[mask],
-                                self.ratings[mask], self.timestamps[mask])
+        return self._select(np.isin(self.user_ids, np.asarray(list(keep), dtype=np.int64)))
 
     def by_user(self) -> dict:
         """Map user id -> (item id array, rating array), users ascending."""
@@ -100,18 +101,23 @@ class InteractionTable:
 def _deduplicate(users, items, ratings, stamps):
     """Keep one record per (user, item): latest timestamp, ties to the
     record seen last in the file."""
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
-    ratings = np.asarray(ratings, dtype=np.float64)
-    stamps = np.asarray(stamps, dtype=np.int64)
-    arrival = np.arange(users.size)
-    order = np.lexsort((arrival, stamps, items, users))
-    u, i = users[order], items[order]
+    table = InteractionTable(users, items, ratings, stamps)
+    arrival = np.arange(len(table))
+    order = np.lexsort((arrival, table.timestamps, table.item_ids, table.user_ids))
+    u, i = table.user_ids[order], table.item_ids[order]
     last = np.ones(u.size, dtype=bool)
     last[:-1] = (u[:-1] != u[1:]) | (i[:-1] != i[1:])
     keep = order[last]
     keep.sort()  # preserve file order of the survivors
-    return InteractionTable(users[keep], items[keep], ratings[keep], stamps[keep])
+    return table._select(keep)
+
+
+def _int64(text) -> int:
+    """``int(text)``; a value outside int64 raises ValueError like bad text."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError("%s does not fit in int64" % text)
+    return value
 
 
 def _loadtxt(fh, delimiter, dtype, usecols=None):
@@ -163,10 +169,10 @@ def _parse_rating_lines(path, sep) -> InteractionTable:
                 malformed += 1
                 continue
             try:
-                u = int(parts[0])
-                i = int(parts[1])
+                u = _int64(parts[0])
+                i = _int64(parts[1])
                 r = float(parts[2])
-                t = int(parts[3])
+                t = _int64(parts[3])
             except ValueError:
                 malformed += 1
                 continue
@@ -191,13 +197,8 @@ def _parse_rating_lines(path, sep) -> InteractionTable:
 
 def binarize(table: InteractionTable, threshold: float = 4.0) -> InteractionTable:
     """Keep records with rating >= threshold and set their rating to 1."""
-    mask = table.ratings >= threshold
-    return InteractionTable(
-        table.user_ids[mask],
-        table.item_ids[mask],
-        np.ones(int(mask.sum())),
-        table.timestamps[mask],
-    )
+    kept = table._select(table.ratings >= threshold)
+    return replace(kept, ratings=np.ones(len(kept)))
 
 
 @dataclass(frozen=True)
@@ -222,16 +223,6 @@ class GenomeTable:
         object.__setattr__(self, "item_ids", ids)
         object.__setattr__(self, "tag_ids", tags)
         object.__setattr__(self, "relevance", rel)
-
-    def __contains__(self, item_id) -> bool:
-        k = np.searchsorted(self.item_ids, item_id)
-        return k < self.item_ids.size and self.item_ids[k] == item_id
-
-    def vector(self, item_id) -> np.ndarray:
-        k = np.searchsorted(self.item_ids, item_id)
-        if k >= self.item_ids.size or self.item_ids[k] != item_id:
-            raise KeyError("item %r has no genome" % (item_id,))
-        return self.relevance[k]
 
     def restrict(self, keep_ids) -> "GenomeTable":
         keep = np.isin(self.item_ids, np.asarray(list(keep_ids), dtype=np.int64))
@@ -263,21 +254,19 @@ def load_genome(path) -> GenomeTable:
             ) from None
         body = fh.tell()
         try:
-            rows, malformed = _loadtxt(fh, delim, _GENOME_ROW, usecols=cols), None
+            rows = _loadtxt(fh, delim, _GENOME_ROW, usecols=cols)
         except ValueError:
             fh.seek(body)
-            rows, malformed = _genome_lines(fh, delim, cols)
+            rows = _genome_lines(path, fh, delim, cols)
 
-    items, item_pos = np.unique(rows["movie"], return_inverse=True)
-    tags, tag_pos = np.unique(rows["tag"], return_inverse=True)
-    cells = item_pos * tags.size + tag_pos
-    counts = np.bincount(cells, minlength=items.size * tags.size)
-    rel = rows["relevance"]
-    outside = ~((rel >= 0.0) & (rel <= 1.0))  # NaN counts as outside
-    if outside.any() or counts.max(initial=0) > 1:
-        _reject_first_bad_row(path, rows, cells, outside)
-    if malformed is not None:
-        raise DataError("%s line %d is malformed: %r" % (path, *malformed))
+        items, item_pos = np.unique(rows["movie"], return_inverse=True)
+        tags, tag_pos = np.unique(rows["tag"], return_inverse=True)
+        cells = item_pos * tags.size + tag_pos
+        rel = rows["relevance"]
+        inside = (rel >= 0.0) & (rel <= 1.0)  # NaN is not
+        if not inside.all() or np.bincount(cells).max(initial=0) > 1:
+            fh.seek(body)
+            _genome_lines(path, fh, delim, cols)  # raises at the first bad line
     if not rows.size:
         raise DataError("no genome records in %s" % path)
 
@@ -292,37 +281,31 @@ def load_genome(path) -> GenomeTable:
     return GenomeTable(items, tags, relevance.reshape(items.size, tags.size))
 
 
-def _genome_lines(fh, delim, cols):
-    """Genome rows read line by line up to the first malformed line.
+def _genome_lines(path, fh, delim, cols):
+    """The line-by-line reader behind ``load_genome``: the rows of ``fh``.
 
-    Returns those rows and the malformed line's (number, text), or None
-    when every line parses.
+    Raises DataError for the first line that is malformed (an id
+    outside int64 included), has a relevance outside [0, 1] or repeats
+    a (movie, tag) pair, numbered as in the file.
     """
-    rows = []
+    rows, seen = [], set()
     for lineno, line in enumerate(fh, start=2):
         line = line.rstrip("\r\n")
         if not line:
             continue
         parts = line.split(delim)
         try:
-            rows.append((int(parts[cols[0]]), int(parts[cols[1]]), float(parts[cols[2]])))
+            movie, tag = _int64(parts[cols[0]]), _int64(parts[cols[1]])
+            rel = float(parts[cols[2]])
         except (ValueError, IndexError):
-            return np.array(rows, dtype=_GENOME_ROW), (lineno, line)
-    return np.array(rows, dtype=_GENOME_ROW), None
-
-
-def _reject_first_bad_row(path, rows, cells, outside):
-    """Raise for the first row out of [0, 1] or repeating an earlier pair."""
-    repeat = np.ones(rows.size, dtype=bool)
-    repeat[np.unique(cells, return_index=True)[1]] = False
-    k = int(np.argmax(outside | repeat))
-    with open(path, encoding="utf-8") as fh:  # its line number, counting blank lines
-        lines = (n for n, line in enumerate(fh, start=1) if n > 1 and line.rstrip("\r\n"))
-        lineno = next(islice(lines, k, None))
-    movie, tag, rel = rows[k].tolist()
-    if outside[k]:
-        raise DataError("%s line %d: relevance %g outside [0, 1]" % (path, lineno, rel))
-    raise DataError("%s line %d: duplicate pair (%d, %d)" % (path, lineno, movie, tag))
+            raise DataError("%s line %d is malformed: %r" % (path, lineno, line)) from None
+        if not 0.0 <= rel <= 1.0:
+            raise DataError("%s line %d: relevance %g outside [0, 1]" % (path, lineno, rel))
+        if (movie, tag) in seen:
+            raise DataError("%s line %d: duplicate pair (%d, %d)" % (path, lineno, movie, tag))
+        seen.add((movie, tag))
+        rows.append((movie, tag, rel))
+    return np.array(rows, dtype=_GENOME_ROW)
 
 
 def filter_catalog(table: InteractionTable, genome: GenomeTable):
@@ -346,26 +329,23 @@ def build_cost_matrix(genome: GenomeTable, row_ids, col_ids) -> CostMatrix:
     Every item must have a genome with at least one positive score;
     costs are 1 - cosine similarity, clipped into [0, 2].
     """
-    row_ids = [int(i) for i in row_ids]
-    col_ids = [int(i) for i in col_ids]
-
-    def gather(ids):
-        vecs = np.empty((len(ids), genome.tag_ids.size))
-        for k, item in enumerate(ids):
-            try:
-                v = genome.vector(item)
-            except KeyError:
-                raise DataError("item %d has no genome vector" % item) from None
-            norm = float(np.linalg.norm(v))
-            if norm == 0.0:
-                raise DataError("item %d has an all-zero genome vector" % item)
-            vecs[k] = v / norm
-        return vecs
-
-    rows = gather(row_ids)
-    cols = gather(col_ids)
-    costs = np.clip(1.0 - rows @ cols.T, 0.0, 2.0)
-    return CostMatrix(costs, row_ids=tuple(row_ids), col_ids=tuple(col_ids))
+    n = len(row_ids)
+    ids = np.concatenate([np.asarray(row_ids, dtype=np.int64),
+                          np.asarray(col_ids, dtype=np.int64)])
+    pos = np.searchsorted(genome.item_ids, ids)
+    found = pos < genome.item_ids.size
+    found[found] = genome.item_ids[pos[found]] == ids[found]
+    # the norm of each genome row as it is stored, for bit-stable costs
+    norms = np.zeros(ids.size)
+    norms[found] = [np.linalg.norm(genome.relevance[k]) for k in pos[found]]
+    if not norms.all():  # the first bad id: rows before columns
+        k = np.flatnonzero(norms == 0.0)[0]
+        if not found[k]:
+            raise DataError("item %d has no genome vector" % ids[k])
+        raise DataError("item %d has an all-zero genome vector" % ids[k])
+    vecs = genome.relevance[pos] / norms[:, None]
+    costs = np.clip(1.0 - vecs[:n] @ vecs[n:].T, 0.0, 2.0)
+    return CostMatrix(costs, row_ids=tuple(ids[:n].tolist()), col_ids=tuple(ids[n:].tolist()))
 
 
 @dataclass(frozen=True)

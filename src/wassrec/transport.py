@@ -46,25 +46,13 @@ def simplex(weights, name: str = "weights") -> np.ndarray:
 
     Entries must be finite and nonnegative with positive total mass;
     the result is a fresh float64 vector summing to 1.  Zero entries
-    are allowed (empty support is handled downstream by support
-    restriction), an all-zero vector is not.
+    are allowed, an all-zero vector is not.  The one-column case of the
+    check every batch of histograms gets.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("%s must be a 1-D vector, got shape %s" % (name, (w.shape,)))
-    if w.size == 0:
-        raise ValueError("%s is empty" % name)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("%s has non-finite entries" % name)
-    if np.any(w < 0):
-        raise ValueError("%s has negative entries" % name)
-    total = float(w.sum())
-    if total <= 0:
-        raise ValueError("%s has zero total mass" % name)
-    out = w / total
-    if not np.all(np.isfinite(out)):
-        raise ValueError("%s could not be normalized (total mass %g)" % (name, total))
-    return out
+    return _histograms(w[:, None], w.size, name)[0][:, 0]
 
 
 def _xlogx(a):
@@ -279,7 +267,7 @@ def _scale(P, Q, kernel, tol, max_iter):
 
     Returns F, G, the row sums R of the plans e^((f_i + g_j - M_ij)/gamma)
     (their columns are Q), iterations and violation.  Zero-mass entries
-    hold potential -inf from the start, as in support restriction.
+    hold potential -inf from the start, so they carry no plan mass.
     """
     gamma, flip = kernel.gamma, kernel.T
     with np.errstate(divide="ignore"):
@@ -345,17 +333,15 @@ def sinkhorn(p, q, M, gamma: float, tol: float = DEFAULT_TOL,
 
     The one-pair case of batch_sinkhorn: one stabilized loop on the
     dual potentials serves every gamma, without NaN where the Gibbs
-    kernel underflows.  Zero-mass entries of p and q are handled by
-    support restriction and come back as zero rows/columns.
+    kernel underflows.  Zero-mass entries of p and q hold potential
+    -inf, as in batch_sinkhorn, and come back as zero rows/columns.
     """
-    p, q, M_full = _check_pair(p, q, M)
+    p, q, M = _check_pair(p, q, M)
     _check_budget(tol, max_iter)
-    rows, cols = np.flatnonzero(p > 0), np.flatnonzero(q > 0)
-    kernel = GibbsKernel(M_full[np.ix_(rows, cols)], gamma)
-    F, G, _, iterations, viol = _scale(p[rows, None], q[cols, None], kernel, tol, max_iter)
-    plan = np.zeros(M_full.shape)
-    plan[np.ix_(rows, cols)] = np.exp((F + G.T - kernel.cost) / kernel.gamma)
-    cost = float((plan * M_full).sum())
+    kernel = GibbsKernel(M, gamma)
+    F, G, _, iterations, viol = _scale(p[:, None], q[:, None], kernel, tol, max_iter)
+    plan = np.exp((F + G.T - M) / kernel.gamma)
+    cost = float((plan * M).sum())
     return TransportPlan(
         plan=plan,
         transport_cost=cost,

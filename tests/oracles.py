@@ -164,9 +164,9 @@ def rank_by_key(q, ids):
 def load_genome_lines(path):
     """``load_genome`` as a plain line-by-line parser.
 
-    Reads each line in turn, rejects the first malformed, out-of-range
-    or repeated row by number, keeps the triples in a dict and pivots
-    through two id -> position dicts.
+    Reads each line in turn, rejects the first malformed (an id outside
+    int64 included), out-of-range or repeated row by number, keeps the
+    triples in a dict and pivots through two id -> position dicts.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n")
@@ -192,6 +192,8 @@ def load_genome_lines(path):
                 movie = int(parts[cols[0]])
                 tag = int(parts[cols[1]])
                 rel = float(parts[cols[2]])
+                if not all(-2**63 <= v < 2**63 for v in (movie, tag)):
+                    raise ValueError("id outside int64")
             except (ValueError, IndexError):
                 raise DataError("%s line %d is malformed: %r"
                                 % (path, lineno, line)) from None

@@ -129,6 +129,25 @@ class TestPrepare:
         genome = load_genome(pipeline_out / "prepared" / "genome.csv")
         assert list(genome.item_ids) == [1, 2, 3, 4, 5]
 
+    def test_prepared_genome_keeps_values_in_shortest_text(self, pipeline_out):
+        prepared = pipeline_out / "prepared" / "genome.csv"
+        with pytest.warns(UserWarning, match="absent"):
+            source = load_genome(GENOME)
+        genome = load_genome(prepared)
+        assert genome.item_ids.tobytes() == source.item_ids.tobytes()
+        assert genome.tag_ids.tobytes() == source.tag_ids.tobytes()
+        assert genome.relevance.tobytes() == source.relevance.tobytes()
+
+        def texts(path):
+            with open(path, encoding="utf-8") as fh:
+                rows = [line.rstrip("\n").split(",") for line in fh][1:]
+            return {(movie, tag): rel for movie, tag, rel in rows}
+
+        given = texts(GENOME)
+        for pair, text in texts(prepared).items():
+            if pair in given:
+                assert len(text) <= len(given[pair]), (pair, text, given[pair])
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "o"
         args = ["prepare", "--ratings", RATINGS, "--genome", GENOME,
@@ -143,6 +162,19 @@ class TestPrepare:
                    "--genome", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert rc == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, line", [("u.data", "99999999999999999999\t2\t5\t100\n"),
+                                            ("genome.csv", "99999999999999999999,1,0.5\n")],
+                             ids=["ratings", "genome"])
+    def test_id_beyond_int64_exits_2(self, tmp_path, capsys, name, line):
+        for path in (RATINGS, GENOME):
+            shutil.copy(path, tmp_path)
+        with open(tmp_path / name, "a", encoding="utf-8") as fh:
+            fh.write(line)
+        rc = main(["prepare", "--ratings", str(tmp_path / "u.data"),
+                   "--genome", str(tmp_path / "genome.csv"), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "malformed" in capsys.readouterr().err
 
     def test_threshold_that_empties_catalog(self, tmp_path, capsys):
         rc = main(["prepare", "--ratings", RATINGS, "--genome", GENOME,

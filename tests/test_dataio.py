@@ -60,7 +60,8 @@ def write_lines(path, lines, newline):
 MALFORMED_RATINGS = [["7", "300"], ["1", "2", "3", "4", "5"], ["x", "2", "3", "4"],
                      ["1", "2.0", "3", "4"], ["1", "2", "3", "1.5"], ["1", "2", "nan", "4"],
                      ["1", "2", "-inf", "4"], ["1", "2", "3", "4", ""], ["1", "2", "high", "4"],
-                     ["   "], ["#1", "2", "3", "4"]]
+                     ["   "], ["#1", "2", "3", "4"], ["99999999999999999999", "2", "5", "100"],
+                     ["1", "2", "5", "99999999999999999999"]]
 
 
 @st.composite
@@ -187,15 +188,15 @@ class TestLoadGenome:
             g = load_genome(fixture_genome)
         assert g.item_ids.tolist() == [1, 2, 3, 4, 5]
         assert g.tag_ids.tolist() == [10, 20, 30, 40]
-        np.testing.assert_allclose(g.vector(1), [0.9, 0.1, 0.0, 0.2])
-        assert 6 not in g
-        assert 3 in g
+        np.testing.assert_allclose(g.relevance[0], [0.9, 0.1, 0.0, 0.2])
+        assert 6 not in g.item_ids
+        assert 3 in g.item_ids
 
     def test_tab_delimited_header(self, tmp_path):
         f = tmp_path / "genome.tsv"
         f.write_text("movieId\ttagId\trelevance\n1\t7\t0.5\n")
         g = load_genome(f)
-        assert g.vector(1).tolist() == [0.5]
+        assert g.relevance[0].tolist() == [0.5]
 
     def test_errors(self, tmp_path):
         bad_header = tmp_path / "a.csv"
@@ -269,6 +270,7 @@ class TestLoadGenomeAgainstLineParser:
         (["1,2,1.5", "1,2,0.5"], "line 2: relevance 1.5 outside"),
         (["1,2,0.5", "1,2,-1"], "line 3: relevance -1 outside"),
         (["1,2_0,0.5"], None),  # Python's int reads 2_0; the line parser takes it
+        (["1,2,0.5", "99999999999999999999,1,0.5"], "line 3 is malformed"),  # beyond int64
     ])
     def test_first_bad_line_is_named(self, tmp_path, body, message):
         path = write_lines(tmp_path / "g.csv", ["movieId,tagId,relevance", *body], "\n")
@@ -306,7 +308,7 @@ class TestBuildCostMatrix:
         with pytest.warns(UserWarning):
             g = load_genome(fixture_genome)
         cm = build_cost_matrix(g, row_ids=[1, 2], col_ids=[3, 4])
-        v1, v3 = g.vector(1), g.vector(3)
+        v1, v3 = g.relevance[0], g.relevance[2]
         expected = 1.0 - float(v1 @ v3) / (np.linalg.norm(v1) * np.linalg.norm(v3))
         assert cm.costs[0, 0] == pytest.approx(expected, abs=1e-15)
         assert cm.costs.min() >= 0.0 and cm.costs.max() <= 2.0
@@ -318,6 +320,10 @@ class TestBuildCostMatrix:
             build_cost_matrix(g, [1], [9])
         with pytest.raises(DataError, match="all-zero"):
             build_cost_matrix(g, [1], [2])
+        with pytest.raises(DataError, match="item 3 has no genome"):  # above every id
+            build_cost_matrix(g, [1], [3])
+        with pytest.raises(DataError, match="item 2 has an all-zero"):  # rows come first
+            build_cost_matrix(g, [1, 2], [9])
 
 
 def _toy_table(n_items=8, users=4):

@@ -1,6 +1,7 @@
-"""Every script under demos/ runs to completion against the source tree.
+"""Every script under demos/, and the README's library quickstart, runs
+to completion against the source tree.
 
-Each demo runs in its own interpreter with ``src`` on the import path
+Each runs in its own interpreter with ``src`` on the import path
 and the temporary directory pointed at the test's own, so scratch
 directories a demo creates are cleaned up with the test.
 """
@@ -14,12 +15,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+QUICKSTART = (ROOT / "README.md").read_text(encoding="utf-8").split("```python\n")[1].split("```")[0]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_exits_cleanly(demo, tmp_path):
+@pytest.mark.parametrize("script", [[str(d)] for d in DEMOS] + [["-c", QUICKSTART]],
+                         ids=[d.stem for d in DEMOS] + ["readme_quickstart"])
+def test_demo_exits_cleanly(script, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, *script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
