@@ -5,9 +5,8 @@ reference for test-scale instances, and the Legendre conjugate of the
 smoothed cost in its second marginal (value and gradient).  Sinkhorn
 and the conjugate are batched over users sharing one Gibbs kernel, on
 one stabilized product that stays batched at any gamma.  The conjugate
-gradient is the workhorse of cold-start inference: evaluated at g = 0
-it pushes preference histograms through the Gibbs kernel onto unseen
-items.
+gradient drives wcf's dual solves; at g = 0 it is wf's cold-start
+inference, which ``wfilter.infer_cold`` computes in closed form.
 """
 
 from dataclasses import dataclass
@@ -238,8 +237,8 @@ def _shifted_log_product(kernel, G, weights, need_grad=False, support=None):
     return b, L, grads
 
 
-def _histograms(X, rows, name="P"):
-    """Columns of X (rows x m) renormalized onto the simplex, and their entropies.
+def _checked_columns(X, rows, name):
+    """X (rows x m) as float64, not copied, and its column masses.
 
     The one check of every batch of histograms: entries finite and
     nonnegative, every column of positive mass (zero entries allowed).
@@ -247,11 +246,18 @@ def _histograms(X, rows, name="P"):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != rows or X.shape[1] < 1:
         raise ValueError("%s must have shape (%d, m >= 1), got %s" % (name, rows, (X.shape,)))
-    H = np.ascontiguousarray(X.T)  # one histogram per row, so each sums pairwise
-    total = H.sum(axis=1, keepdims=True)
-    if not (np.all(H >= 0) and np.all((total > 0) & (total < np.inf))):
+    total = X.sum(axis=0)
+    # a NaN fails both tests, an inf the mass test
+    if not (np.all((total > 0) & (total < np.inf)) and X.min() >= 0):
         raise ValueError("%s columns must be finite, nonnegative and of positive mass" % name)
-    H = H / total
+    return X, total
+
+
+def _histograms(X, rows, name="P"):
+    """Columns of X (rows x m) renormalized onto the simplex, and their entropies."""
+    X, _ = _checked_columns(X, rows, name)
+    H = np.ascontiguousarray(X.T)  # one histogram per row, so each sums pairwise
+    H = H / H.sum(axis=1, keepdims=True)
     return np.ascontiguousarray(H.T), -_xlogx(H).sum(axis=1)
 
 

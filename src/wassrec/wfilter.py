@@ -3,15 +3,16 @@
 A user's history over interacted items becomes a preference histogram;
 pushing it through the Gibbs kernel of the interacted-to-cold cost
 matrix yields a histogram over the cold items in closed form, which is
-then ranked.  The inference step is exactly the conjugate gradient at
-a zero potential, so it shares that code path, batched over users.
+then ranked.  That histogram is the conjugate gradient at a zero
+potential, but needs none of the conjugate's log-domain machinery: one
+kernel product serves a whole stack of users at any gamma.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import GibbsKernel, _histograms, batch_conjugate, simplex
+from .transport import GibbsKernel, _checked_columns, simplex
 
 __all__ = [
     "UserInteractions",
@@ -97,12 +98,15 @@ def infer_cold(p, M, gamma: float | None = None) -> np.ndarray:
     """Closed-form cold-start histogram K^T (p / K 1) over the cold items.
 
     ``p`` is one histogram over the interacted items, or an (n, m) stack
-    of them, one user per column, giving an (s, m) stack of results.
-    ``M`` is a cost matrix (interacted rows, cold columns) with
-    smoothing ``gamma``, or an already-built GibbsKernel, in which case
-    ``gamma`` must be omitted.  The result is the conjugate gradient at
-    a zero potential: each interacted item's mass is softly assigned to
-    its cheapest cold items and the assignments are mixed by p.
+    of them, one user per column, giving an (s, m) stack of results;
+    each column is scaled to mass 1.  ``M`` is a cost matrix (interacted
+    rows, cold columns) with smoothing ``gamma``, or an already-built
+    GibbsKernel, in which case ``gamma`` must match it or be omitted.
+    Each interacted item's mass is softly assigned to its cheapest cold
+    items and the assignments are mixed by p: the minimizer of the
+    smoothed transport cost from p, which is the conjugate gradient at a
+    zero potential.  K is taken row-shifted (``shifted_kernel``), which
+    cancels in the ratio; its rows peak at 1, so K 1 >= 1 at any gamma.
     """
     if isinstance(M, GibbsKernel):
         if gamma is not None and gamma != M.gamma:
@@ -113,8 +117,10 @@ def infer_cold(p, M, gamma: float | None = None) -> np.ndarray:
             raise ValueError("gamma is required when M is a cost matrix")
         kernel = GibbsKernel(M, gamma)
     p = np.asarray(p, dtype=np.float64)
-    P, entropies = _histograms(p if p.ndim == 2 else p[..., None], kernel.shape[0], "p")
-    Q = batch_conjugate(P, np.zeros((kernel.shape[1], P.shape[1])), kernel, entropies)[1]
+    X, mass = _checked_columns(p if p.ndim == 2 else p[..., None], kernel.shape[0], "p")
+    K = kernel.shifted_kernel
+    Q = K.T @ (X / K.sum(axis=1)[:, None])
+    Q /= mass
     return Q if p.ndim == 2 else Q[:, 0]
 
 

@@ -524,6 +524,8 @@ def _corrupt(case, P):
         P[0, 1] = -0.1
     elif case == "nan":
         P[0, 1] = np.nan
+    elif case == "inf":
+        P[0, 1] = np.inf
     elif case == "zero-mass":
         P[:, 1] = 0.0
     else:  # wrong length
@@ -541,7 +543,7 @@ class TestHistogramValidation:
         "conjugate_value": lambda P, kernel: conjugate_value(P[:, 1], np.zeros(3), kernel),
     }
 
-    @pytest.mark.parametrize("case", ["negative", "nan", "zero-mass", "wrong-length"])
+    @pytest.mark.parametrize("case", ["negative", "nan", "inf", "zero-mass", "wrong-length"])
     @pytest.mark.parametrize("caller", sorted(CALLERS))
     def test_bad_histogram_rejected(self, caller, case):
         rng = np.random.default_rng(3)

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wassrec import GibbsKernel, conjugate_grad, entropy
+import wassrec.transport as transport
+from wassrec import GibbsKernel, batch_conjugate, conjugate_grad, entropy
 from wassrec.wfilter import (RankedList, UserInteractions, estimate_preference, infer_cold,
                              rank_items, rank_order)
 from oracles import entropic_value_many, rank_by_key
@@ -60,6 +62,41 @@ class TestInferCold:
         direct = infer_cold(p0, kernel)
         via_grad = conjugate_grad(p0, np.zeros(2), kernel)
         np.testing.assert_array_equal(direct, via_grad)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.05, 1e-3])
+    def test_matches_batched_conjugate_at_zero_potential(self, gamma):
+        # unnormalized stacks with zero entries against the conjugate
+        # gradient at g = 0, down to a gamma where kernel cells underflow
+        rng = np.random.default_rng(23)
+        n, s, m = 40, 25, 30
+        kernel = GibbsKernel(rng.uniform(size=(n, s)), gamma)
+        X = rng.uniform(size=(n, m)) * (rng.uniform(size=(n, m)) < 0.3)
+        X[rng.integers(n, size=m), np.arange(m)] += 1.0  # no empty column
+        X *= rng.uniform(0.1, 10.0, size=m)
+        P, ents = transport._histograms(X, n)
+        expected = batch_conjugate(P, np.zeros((s, m)), kernel, ents)[1]
+        np.testing.assert_allclose(infer_cold(X, kernel), expected, rtol=1e-14, atol=0)
+
+    def test_peak_memory_one_stack_temporary(self):
+        # with the kernel built, a stack needs one n x m temporary beside
+        # its s x m result
+        rng = np.random.default_rng(5)
+        n, s, m = 400, 120, 300
+        kernel = GibbsKernel(rng.uniform(size=(n, s)), 0.05)
+        kernel.shifted_kernel  # built before tracing
+        X = rng.uniform(size=(n, m))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            infer_cold(X, kernel)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 8 * (n * m + 2 * s * m)
 
     def test_minimizes_transport_cost_refined_grid(self, movies):
         # q_hat should minimize W_gamma(p, .) over the simplex; for
