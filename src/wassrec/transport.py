@@ -39,6 +39,15 @@ MAX_EXACT_CELLS = 400
 
 _TINY = np.finfo(np.float64).tiny
 
+# Sinkhorn's linear rate degrades with the kernel's cross-ratio on a
+# pair's support; pairs still open after _NEWTON_AFTER iterations get
+# one damped Newton solve on their dual of at most _NEWTON_STEPS steps,
+# each backtracking by halves from 1 down to _NEWTON_MIN_STEP
+_NEWTON_AFTER = 1000
+_NEWTON_STEPS = 50
+_NEWTON_MIN_STEP = 1e-10
+_NEWTON_ARMIJO_C = 1e-4
+
 
 def simplex(weights, name: str = "weights") -> np.ndarray:
     """Validate and renormalize a histogram onto the probability simplex.
@@ -268,12 +277,61 @@ def _check_budget(tol, max_iter):
         raise ValueError("max_iter must be at least 1")
 
 
+def _newton(p, q, f, g, cost, gamma, tol):
+    """Damped Newton ascent on one pair's entropic dual, over its supports.
+
+    The dual <p, f> + <q, g> - gamma sum_ij exp((f_i + g_j - M_ij) / gamma)
+    is concave; its unknowns are f on p's support and g on q's, all but
+    the last g, which stays fixed (the dual is flat along f + c, g - c).
+    Starts from (f, g) and updates g in place; every step backtracks by
+    halves until the Armijo test holds.  Stops once both marginals are
+    within a thousandth of ``tol``, or hands the pair back as it stands
+    on a singular or non-finite step or a stalled search (Brauer,
+    Clason, Lorenz & Wirth 2017).
+    """
+    rows, cols = np.flatnonzero(p), np.flatnonzero(q)
+    p, q, M = p[rows], q[cols], cost[np.ix_(rows, cols)]
+    n = rows.size
+    x = np.concatenate([f[rows], g[cols]])
+    T = np.exp((x[:n, None] + x[None, n:] - M) / gamma)
+    for _ in range(_NEWTON_STEPS):
+        r, c = T.sum(axis=1), T.sum(axis=0)
+        grad = np.concatenate([p - r, q - c])
+        if np.abs(grad).max() < 1e-3 * tol:
+            break
+        hess = np.block([[np.diag(r), T], [T.T, np.diag(c)]]) / gamma
+        try:
+            d = np.append(np.linalg.solve(hess[:-1, :-1], grad[:-1]), 0.0)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(d)):
+            break
+        slope, gain_rate = grad @ d, p @ d[:n] + q @ d[n:]
+        t = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t >= _NEWTON_MIN_STEP:
+                # the dual's gain along t d, free of cancellation against its value
+                E = np.expm1(t * (d[:n, None] + d[None, n:]) / gamma)
+                if t * gain_rate - gamma * (T * E).sum() >= _NEWTON_ARMIJO_C * t * slope:
+                    break
+                t *= 0.5
+        if t < _NEWTON_MIN_STEP:
+            break
+        x += t * d
+        T = np.exp((x[:n, None] + x[None, n:] - M) / gamma)
+    g[cols] = x[n:]
+
+
 def _scale(P, Q, kernel, tol, max_iter):
     """Log-domain Sinkhorn on all pairs: f = gamma (log p - log K e^(g/gamma)), mirrored.
 
     Returns F, G, the row sums R of the plans e^((f_i + g_j - M_ij)/gamma)
     (their columns are Q), iterations and violation.  Zero-mass entries
     hold potential -inf from the start, so they carry no plan mass.
+    After _NEWTON_AFTER iterations each pair still open gets a damped
+    Newton solve (``_newton``) from its current potentials, and the
+    scaling loop carries on from there; pairs that close before then
+    never see it.
     """
     gamma, flip = kernel.gamma, kernel.T
     with np.errstate(divide="ignore"):
@@ -292,11 +350,18 @@ def _scale(P, Q, kernel, tol, max_iter):
         # rows of the plan (F, G) are p exp(delta); the next F makes them p
         delta = L_next.take(cells) - L.take(cells) + ((b_next - b) / gamma)[users]
         with np.errstate(over="ignore"):
-            viol = float(np.abs(p * np.expm1(delta)).max())
+            deviation = np.abs(p * np.expm1(delta))
+        viol = float(deviation.max())
         if viol < tol:
             R = np.zeros_like(P)
             R.flat[cells] = p * np.exp(delta)
             return F, G, R, it, viol
+        if it == _NEWTON_AFTER < max_iter:
+            pair_viol = np.zeros(P.shape[1])
+            np.maximum.at(pair_viol, users, deviation)
+            for u in np.flatnonzero(pair_viol >= tol):
+                _newton(P[:, u], Q[:, u], F[:, u], G[:, u], kernel.cost, gamma, tol)
+            b_next, L_next, _ = _shifted_log_product(kernel, G, P)
         b, L = b_next, L_next
     raise ConvergenceError("Sinkhorn scaling did not reach tolerance %g in %d iterations "
                            "(marginal violation %g)" % (tol, max_iter, viol),
@@ -309,10 +374,11 @@ def batch_sinkhorn(P, Q, kernel: GibbsKernel, tol: float = DEFAULT_TOL,
 
     Columns of P (n x m) and Q (s x m) are histograms (renormalized
     here; zero entries allowed).  Each Sinkhorn step is one stabilized
-    product per side for every pair, at any gamma.  Returns the values
-    <T_u, M> - gamma h(T_u) of the final plans, the iterations the
-    slowest pair needed and the worst marginal violation; raises
-    ConvergenceError if ``max_iter`` passes are not enough.
+    product per side for every pair, at any gamma; a pair still open
+    after _NEWTON_AFTER steps gets a damped Newton finish on its dual.
+    Returns the values <T_u, M> - gamma h(T_u) of the final plans, the
+    iterations the slowest pair needed and the worst marginal violation;
+    raises ConvergenceError if ``max_iter`` passes are not enough.
     """
     n, s = kernel.shape
     P, _ = _histograms(P, n, "P")

@@ -12,11 +12,15 @@ subspace constraint on the potentials:
 * dictionary block: jointly over users, minimize sum_u H*_{p_u}(g_u)
   subject to G Lambda^T = 0, then recover D the same way.
 
-Both blocks are solved by one projected gradient descent with Armijo
+Both blocks are solved by one projected Newton descent with Armijo
 backtracking over column groups: each user is a group of its own in
 the loadings block, all users form one group in the dictionary block,
-and every group keeps its own step and convergence test.  The
-projected gradient has a second life: its norm is exactly the
+and every group keeps its own step and convergence test.  The step is
+the gradient projected onto the constraint subspace in the metric of
+the conjugate's Hessian diagonal, about q / gamma at the current
+histogram q, which varies by orders of magnitude across items; a plain
+gradient step ignores that scaling and stalls.  The orthogonally
+projected gradient still decides convergence: its norm is exactly the
 distance between the current conjugate-gradient histogram and the
 span it must land in, which is what makes the early-stopping
 tolerances meaningful.
@@ -49,6 +53,9 @@ __all__ = [
 # the sufficient-decrease test with slope fraction _ARMIJO_C passes
 _INNER_TOL = 1e-7
 _MAX_INNER = 500
+# the step's metric is the conjugate's Hessian diagonal, about q / gamma
+# at the current histogram q; the floor keeps items q leaves empty in it
+_CURVATURE_FLOOR = 1e-6
 _STEP_INIT = 1.0
 _STEP_SHRINK = 0.5
 _ARMIJO_C = 1e-4
@@ -141,15 +148,43 @@ def _clean_histogram(x) -> np.ndarray:
     return x / total
 
 
+def _projector(B):
+    """Projections onto {X : B^T X = 0}, B (s x k) with orthonormal columns.
+
+    ``project(V)`` is the orthogonal projection V - B B^T V.  With a
+    positive metric W shaped like V, ``project(V, W)`` is the projection
+    of W^-1 V in the W-metric, column by column: W^-1 (V - B c) with
+    each column's c solving the k x k system (B^T W^-1 B) c = B^T W^-1 V.
+    Every system is one row of one product against the k^2-column table
+    of B's row outer products.
+    """
+    s, k = B.shape
+    table = (B[:, :, None] * B[:, None, :]).reshape(s, k * k)
+
+    def project(V, W=None):
+        if W is None:
+            return V - B @ (B.T @ V)
+        systems = ((1.0 / W).T @ table).reshape(-1, k, k)
+        c = np.linalg.solve(systems, (B.T @ (V / W)).T[:, :, None])[:, :, 0]
+        return (V - B @ c.T) / W
+
+    return project
+
+
 def _pgd(P, G0, kernel, entropies, project, groups, block):
-    """Projected gradient descent on the summed conjugate, group by group.
+    """Projected Newton descent on the summed conjugate, group by group.
 
     Column u belongs to group ``groups[u]``; each group sums its
     columns' conjugate values, has its own Armijo step and stops on its
-    own projected gradient norm.  Candidates come with their gradients,
-    so an accepted step is evaluated once.  A group whose line search
-    stalls at a negligible projected gradient is frozen for the rest of
-    the solve, a stall far from optimality is an error, and groups open
+    own projected gradient norm.  The step is the gradient projected in
+    the metric of the conjugate's Hessian diagonal, (q + floor) / gamma
+    at the current histograms q (a diagonally scaled projected Newton
+    step, Bertsekas 1982), so t = 1 is the natural first trial; the
+    Armijo slope is each group's inner product of the step with the
+    projected gradient.  Candidates come with their gradients, so an
+    accepted step is evaluated once.  A group whose line search stalls
+    at a negligible projected gradient is frozen for the rest of the
+    solve, a stall far from optimality is an error, and groups open
     after _MAX_INNER passes are named in a warning about ``block``.
     ``G0`` warm-starts the potentials; None starts them at zero.
     """
@@ -174,16 +209,18 @@ def _pgd(P, G0, kernel, entropies, project, groups, block):
                           "largest projected gradient norm %g (tolerance %g)"
                           % (block, passes, pending.sum(), np.sqrt(n2[pending].max()), _INNER_TOL))
             break
+        step = project(grads, (grads + _CURVATURE_FLOOR) / kernel.gamma)
+        slope = np.bincount(groups, (PG * step).sum(axis=0), n_groups)
         base = np.bincount(groups, vals, n_groups)
         t = np.full(n_groups, _STEP_INIT)
         while pending.any():
             sel = pending[groups]
             # views, not copies, while every column is pending
             cols = slice(None) if sel.all() else np.flatnonzero(sel)
-            cand = G[:, cols] - t[groups[cols]] * PG[:, cols]
+            cand = G[:, cols] - t[groups[cols]] * step[:, cols]
             cvals, cgrads = batch_conjugate(P[:, cols], cand, kernel, entropies[cols], True)
             ok = pending & (np.bincount(groups[cols], cvals, n_groups)
-                            <= base - _ARMIJO_C * t * n2)
+                            <= base - _ARMIJO_C * t * slope)
             take = ok[groups[cols]]
             G[:, cols] = np.where(take, cand, G[:, cols])
             vals[cols] = np.where(take, cvals, vals[cols])
@@ -232,11 +269,7 @@ def lambda_step(D, P, kernel: GibbsKernel, G0=None):
                          % (s, kernel.shape[1]))
 
     Q, R = np.linalg.qr(D)
-
-    def project(G):
-        return G - Q @ (Q.T @ G)
-
-    G, grads = _pgd(P_mat, G0, kernel, ents, project, np.arange(m), "loadings")
+    G, grads = _pgd(P_mat, G0, kernel, ents, _projector(Q), np.arange(m), "loadings")
     return np.linalg.solve(R, Q.T @ grads), G
 
 
@@ -271,8 +304,11 @@ def d_step(lam, P, kernel: GibbsKernel, G0=None):
             "(residual %g); the dictionary subproblem is unbounded" % mass_gap
         )
 
-    def project(G):
-        return G - (G @ QL) @ QL.T
+    # the constraint acts on the rows of G, each of them a column of G^T
+    rows = _projector(QL)
+
+    def project(G, W=None):
+        return rows(G.T, None if W is None else W.T).T
 
     G, grads = _pgd(P_mat, G0, kernel, ents, project, np.zeros(m, dtype=np.intp), "dictionary")
     return np.linalg.solve(RL, QL.T @ grads.T).T, G

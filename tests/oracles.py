@@ -153,6 +153,24 @@ def conjugate_lse(p, g, M, gamma):
     return value, grad, shifted
 
 
+def weighted_projection(V, W, A):
+    """Each column v of V, w of W, mapped to the x with A^T x = 0 nearest w^-1 v in the w-metric.
+
+    Minimizes sum_j w_j (x_j - v_j / w_j)^2 over the null space of A^T,
+    spelled out by an orthonormal basis N of it: x = N y, with y the
+    least-squares solution of (w^1/2 N) y = v / w^1/2, column by column.
+    """
+    from scipy.linalg import null_space
+
+    N = null_space(np.asarray(A, dtype=np.float64).T)
+    X = np.empty_like(np.asarray(V, dtype=np.float64))
+    for u in range(X.shape[1]):
+        root = np.sqrt(W[:, u])
+        y = np.linalg.lstsq(root[:, None] * N, V[:, u] / root, rcond=None)[0]
+        X[:, u] = N @ y
+    return X
+
+
 def rank_by_key(q, ids):
     """Positions of the scores q, best first, exact ties by ascending id.
 

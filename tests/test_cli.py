@@ -319,6 +319,16 @@ class TestTrain:
         assert len(orders[0]) > 1
         assert orders[0] == orders[1]
 
+    def test_wcf_trace_of_a_peaked_pair_finishes(self, tmp_path):
+        # seed 1's initial factors leave one user a 2 x 2 transport
+        # support that plain Sinkhorn cannot close in the trace's
+        # 100,000 iterations (exit 3); the Newton finish closes it
+        out = tmp_path / "o"
+        assert main(["prepare", "--ratings", RATINGS, "--genome", GENOME,
+                     "--out", str(out)]) == 0
+        assert main(["train", "--algorithm", "wcf", "--latent-dim", "2", "--seed", "1",
+                     "--folds", "2", "--out", str(out)]) == 0
+
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "o"
         assert main(["prepare", "--ratings", RATINGS, "--genome", GENOME,

@@ -206,6 +206,30 @@ class TestSinkhorn:
         assert res.marginal_violation < 1e-8
         assert abs(res.transport_cost - 0.18) <= 1e-3
 
+    def test_peaked_two_by_two_converges_at_default_tolerance(self):
+        # the kernel's cross-ratio on this support is eta = K11 K22 /
+        # (K12 K21) ~ e^24, so Sinkhorn's rate ((sqrt eta - 1) / (sqrt eta
+        # + 1))^2 is 1 - 2.5e-5 and scaling alone needs over 100,000
+        # iterations; the Newton finish closes the pair at the switch.
+        # The optimal plan is [[x, 1/2 - x], [1/2 - x, x]] with
+        # x / (1/2 - x) = sqrt(eta)
+        M = np.array([[0.060, 0.748], [0.911, 0.401]])
+        res = sinkhorn([0.5, 0.5], [0.5, 0.5], M, gamma=0.05)
+        assert res.iterations == transport._NEWTON_AFTER + 1
+        assert res.marginal_violation < transport.DEFAULT_TOL
+        root = math.exp((M[0, 1] + M[1, 0] - M[0, 0] - M[1, 1]) / 0.05 / 2)
+        x = root / (2 * (1 + root))
+        np.testing.assert_allclose(res.plan, [[x, 0.5 - x], [0.5 - x, x]], atol=1e-12)
+
+    def test_singular_newton_step_leaves_the_pair_to_sinkhorn(self):
+        # at gamma 0.01 the off-diagonal plan cells underflow to 0, so
+        # the supports split into two blocks and the Newton system is
+        # singular along the first block's shift
+        p = np.array([0.5, 0.5])
+        f, g = np.zeros(2), np.array([0.1, 0.0])
+        transport._newton(p, p, f, g, np.array([[0.0, 50.0], [50.0, 0.0]]), 0.01, 1e-8)
+        np.testing.assert_array_equal(g, [0.1, 0.0])
+
     def test_budget_exhaustion_raises_with_diagnostics(self, movies):
         M, p0, q1, _ = movies
         with pytest.raises(ConvergenceError) as exc:
@@ -494,6 +518,26 @@ class TestBatchSinkhorn:
         assert values[0] == pytest.approx(res.regularized_value, rel=1e-12)
         assert iterations == res.iterations
         assert viol == pytest.approx(res.marginal_violation, rel=1e-6)
+
+    def test_newton_finish_only_for_pairs_still_open(self, monkeypatch):
+        # pair 0 is the peaked 2 x 2 of TestSinkhorn; pair 1 puts all its
+        # mass on one cold item and closes on the first iteration
+        calls, real = [], transport._newton
+
+        def counting(p, *args):
+            calls.append(p.copy())
+            return real(p, *args)
+
+        monkeypatch.setattr(transport, "_newton", counting)
+        kernel = GibbsKernel(np.array([[0.060, 0.748], [0.911, 0.401]]), 0.05)
+        P, Q = np.full((2, 2), 0.5), np.array([[0.5, 1.0], [0.5, 0.0]])
+        alone = batch_sinkhorn(P[:, [1]], Q[:, [1]], kernel)
+        assert alone[1] < transport._NEWTON_AFTER and not calls
+        values, iterations, viol = batch_sinkhorn(P, Q, kernel)
+        assert iterations == transport._NEWTON_AFTER + 1 and viol < transport.DEFAULT_TOL
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], P[:, 0])
+        assert values[1] == pytest.approx(alone[0][0], rel=1e-12)
 
     def test_budget_exhaustion_raises_with_diagnostics(self, movies):
         M, p0, q1, _ = movies

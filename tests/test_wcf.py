@@ -26,6 +26,7 @@ from wassrec.wcf import (
     save_model,
     train_wcf,
 )
+from oracles import weighted_projection
 
 
 def conj_values_grid(p, G, M, gamma):
@@ -543,17 +544,65 @@ class TestInnerSolve:
 
     def test_accepted_steps_are_not_evaluated_twice(self, monkeypatch):
         # at gamma 0.5 every user of this problem accepts t = 1 on every
-        # pass: one evaluation at the start, then one per pass, each
-        # carrying its gradients into the next pass (a rejected step
-        # would add a call for the users still searching)
+        # pass (the solve converges at pass 7): one evaluation at the
+        # start, then one per pass, each carrying its gradients into the
+        # next pass (a rejected step would add a call for the users
+        # still searching)
         P, kernel, D, _ = self._problem()
         kernel = GibbsKernel(kernel.cost, 0.5)
-        passes = 10
+        passes = 5
         monkeypatch.setattr(wcf, "_MAX_INNER", passes)
         sizes = self._count_calls(monkeypatch)
         with pytest.warns(UserWarning, match="loadings dual solve"):
             lambda_step(D, P, kernel)
         assert sizes == [len(P)] * (1 + passes)
+
+    def test_scaled_steps_converge_at_small_gamma(self, monkeypatch):
+        # plain gradient steps need 1,129 evaluations here and still stop
+        # at the loadings budget; steps in the Hessian-diagonal metric
+        # converge both blocks
+        P, kernel, D, lam = self._problem()
+        kernel = GibbsKernel(kernel.cost, 0.05)
+        sizes = self._count_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lambda_step(D, P, kernel)
+            d_step(lam, P, kernel)
+        assert len(sizes) <= 150
+
+    @staticmethod
+    def _projectors(monkeypatch):
+        """The ``project`` each block step hands to the inner solver."""
+        real, captured = wcf._pgd, {}
+
+        def capture(P, G0, kernel, entropies, project, groups, block):
+            captured[block] = project
+            return real(P, G0, kernel, entropies, project, groups, block)
+
+        monkeypatch.setattr(wcf, "_pgd", capture)
+        return captured
+
+    @pytest.mark.parametrize("block", ["loadings", "dictionary"])
+    def test_metric_projection_is_weighted_least_squares(self, monkeypatch, block):
+        P, kernel, D, lam = self._problem()
+        projectors = self._projectors(monkeypatch)
+        lambda_step(D, P, kernel)
+        d_step(lam, P, kernel)
+        project = projectors[block]
+        rng = np.random.default_rng(4)
+        V = rng.normal(size=(6, len(P)))
+        W = rng.uniform(1e-3, 10.0, size=V.shape)
+        X = project(V, W)
+        if block == "loadings":
+            residual = D.T @ X  # every user's column in D^T x = 0
+            oracle = weighted_projection(V, W, D)
+        else:
+            residual = X @ lam.T  # every item's row in x Lambda^T = 0
+            oracle = weighted_projection(V.T, W.T, lam.T).T
+        np.testing.assert_allclose(residual, 0.0, atol=1e-12)
+        np.testing.assert_allclose(X, oracle, rtol=1e-9, atol=1e-9)
+        # the unit metric is the orthogonal projection
+        np.testing.assert_allclose(project(V, np.ones_like(V)), project(V), atol=1e-12)
 
     @staticmethod
     def _open_groups(grads, project, groups):
