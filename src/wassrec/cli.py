@@ -58,16 +58,16 @@ PREDICTION_HEADER = "user\trank\titem\tscore"
 WRITE_BLOCK = 1 << 10  # rows formatted per write; larger blocks raise train's peak RSS
 
 
-def _finite(kind, positive=True):
-    """An argparse type: the text as a finite ``kind``, above zero if ``positive``."""
+def _finite(kind, low=0):
+    """An argparse type: the text as a finite ``kind`` above ``low``."""
     def parse(text):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError("%r is not a number" % text) from None
-        if not -np.inf < value < np.inf or (positive and value <= 0):
-            raise argparse.ArgumentTypeError("must be a %s number, got %r"
-                                             % ("positive" if positive else "finite", text))
+        if not low < value < np.inf:
+            raise argparse.ArgumentTypeError("must be a finite number above %s, got %r"
+                                             % (low, text))
         return value
     return parse
 
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genome", required=True, help="tag-relevance file")
     p.add_argument("--format", choices=sorted(FORMATS), default="tab",
                    help="ratings field delimiter (default tab)")
-    p.add_argument("--threshold", type=_finite(float, positive=False), default=4.0,
+    p.add_argument("--threshold", type=_finite(float, low=-np.inf), default=4.0,
                    help="keep interactions rated at least this (default 4)")
     p.set_defaults(func=cmd_prepare)
 
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interacted:cold item ratio (default 3:1)")
     t.add_argument("--folds", type=_finite(int), default=None,
                    help="fold count (default: every subset once)")
-    t.add_argument("--seed", type=int, default=0, help="split and init seed")
+    t.add_argument("--seed", type=_finite(int, low=-1), default=0, help="split and init seed")
     t.add_argument("--tol", type=_finite(float), default=1e-5,
                    help="wcf outer-loop relative tolerance (default 1e-5)")
     t.add_argument("--max-outer", dest="max_outer", type=_finite(int), default=50,
@@ -215,7 +215,8 @@ def cmd_train(args) -> int:
                       "%d interacted items, %d users)"
                       % (split.fold, k, s, n, len(users)), file=sys.stderr)
             model = train_wcf(P.T, cost, k=k, gamma=args.gamma, tol=args.tol,
-                              max_outer=args.max_outer, seed=args.seed, user_ids=users)
+                              max_outer=args.max_outer, seed=args.seed, user_ids=users,
+                              item_ids=split.cold_items)
             save_model(model, run_dir / "model")
             trace = model.objective_trace
             print("fold %d: objective %.6g -> %.6g over %d half-steps"

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DataError
-from .transport import CostMatrix
 
 __all__ = [
     "InteractionTable",
@@ -323,11 +322,11 @@ def filter_catalog(table: InteractionTable, genome: GenomeTable):
     return t, genome.restrict(t.items)
 
 
-def build_cost_matrix(genome: GenomeTable, row_ids, col_ids) -> CostMatrix:
+def build_cost_matrix(genome: GenomeTable, row_ids, col_ids) -> np.ndarray:
     """Cosine-distance costs between interacted (rows) and cold (columns) items.
 
     Every item must have a genome with at least one positive score;
-    costs are 1 - cosine similarity, clipped into [0, 2].
+    costs are 1 - cosine similarity, clipped into [0, 2], in a float64 array.
     """
     n = len(row_ids)
     ids = np.concatenate([np.asarray(row_ids, dtype=np.int64),
@@ -344,8 +343,7 @@ def build_cost_matrix(genome: GenomeTable, row_ids, col_ids) -> CostMatrix:
             raise DataError("item %d has no genome vector" % ids[k])
         raise DataError("item %d has an all-zero genome vector" % ids[k])
     vecs = genome.relevance[pos] / norms[:, None]
-    costs = np.clip(1.0 - vecs[:n] @ vecs[n:].T, 0.0, 2.0)
-    return CostMatrix(costs, row_ids=tuple(ids[:n].tolist()), col_ids=tuple(ids[n:].tolist()))
+    return np.clip(1.0 - vecs[:n] @ vecs[n:].T, 0.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -442,7 +440,7 @@ def write_split_manifest(splits, path) -> None:
 
 def read_split_manifest(path) -> dict:
     """The JSON of ``write_split_manifest``; every fold entry must name its
-    fold number and its interacted and cold items."""
+    fold number (an int) and its interacted and cold items (lists of ints)."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     for key in ("ratio", "seed", "folds"):
@@ -454,4 +452,9 @@ def read_split_manifest(path) -> dict:
         for key in ("fold", "interacted", "cold"):
             if not isinstance(entry, dict) or key not in entry:
                 raise DataError("split manifest %s: fold entry %d lacks %r" % (path, k, key))
+            # JSON's only integers are ints; a bool names no fold or item
+            values = [entry[key]] if key == "fold" else entry[key]
+            if not isinstance(values, list) or any(type(v) is not int for v in values):
+                raise DataError("split manifest %s: fold entry %d: %r is not %s" % (
+                    path, k, key, "an int" if key == "fold" else "a list of ints"))
     return payload

@@ -6,7 +6,8 @@ smoothed cost in its second marginal (value and gradient).  Sinkhorn
 and the conjugate are batched over users sharing one Gibbs kernel, on
 one stabilized product that stays batched at any gamma.  The conjugate
 gradient drives wcf's dual solves; at g = 0 it is wf's cold-start
-inference, which ``wfilter.infer_cold`` computes in closed form.
+inference, which ``wfilter.infer_cold`` computes in closed form.  A cost
+is a plain nonnegative array; the item ids of its axes stay with callers.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ import numpy as np
 from .exceptions import ConvergenceError, SolverError
 
 __all__ = [
-    "CostMatrix",
     "GibbsKernel",
     "TransportPlan",
     "simplex",
@@ -87,45 +87,8 @@ def _logsumexp(x):
     return np.log(np.exp(x - top[:, None]).sum(axis=1)) + top
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    """Ground costs between interacted items (rows) and cold items (columns).
-
-    ``row_ids`` and ``col_ids`` name the items behind each axis; they
-    must be duplicate-free and disjoint since an item cannot be both
-    interacted and cold in one experiment.
-    """
-
-    costs: np.ndarray
-    row_ids: tuple
-    col_ids: tuple
-
-    def __post_init__(self):
-        c = _as_cost(self.costs)
-        rows = tuple(self.row_ids)
-        cols = tuple(self.col_ids)
-        if len(rows) != c.shape[0] or len(cols) != c.shape[1]:
-            raise ValueError(
-                "id lists (%d, %d) do not match cost shape %s"
-                % (len(rows), len(cols), (c.shape,))
-            )
-        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-            raise ValueError("item ids must be duplicate-free")
-        if set(rows) & set(cols):
-            raise ValueError("row and column ids must be disjoint")
-        object.__setattr__(self, "costs", c)
-        object.__setattr__(self, "row_ids", rows)
-        object.__setattr__(self, "col_ids", cols)
-
-    @property
-    def shape(self):
-        return self.costs.shape
-
-
 def _as_cost(M) -> np.ndarray:
-    """Accept a CostMatrix or a raw array of ground costs."""
-    if isinstance(M, CostMatrix):
-        return M.costs
+    """The ground costs as a checked float64 matrix."""
     c = np.asarray(M, dtype=np.float64)
     if c.ndim != 2:
         raise ValueError("cost matrix must be 2-D, got shape %s" % (c.shape,))
@@ -136,12 +99,11 @@ def _as_cost(M) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GibbsKernel:
-    """Gibbs kernel exp(-cost / gamma), kept in log form and row-shifted.
+    """Gibbs kernel exp(-cost / gamma) of a checked cost, row-shifted.
 
-    ``log_kernel`` = -cost / gamma is exact at any gamma.  The kernel
-    itself is only held as ``shifted_kernel``, each row divided by its
-    maximum ``exp(row_shift)``, so no row underflows as a whole; cells
-    that still do are recomputed in the log domain where they matter.
+    Only ``shifted_kernel`` is held, each row divided by its maximum
+    ``exp(row_shift)`` so no row underflows as a whole; cells that still
+    do are recomputed from ``cost`` in the log domain where they matter.
     """
 
     cost: np.ndarray
@@ -160,17 +122,13 @@ class GibbsKernel:
         return cls(M, gamma)
 
     @cached_property
-    def log_kernel(self) -> np.ndarray:
-        return -self.cost / self.gamma
-
-    @cached_property
     def row_shift(self) -> np.ndarray:
-        return self.log_kernel.max(axis=1)
+        return -self.cost.min(axis=1) / self.gamma
 
     @cached_property
     def shifted_kernel(self) -> np.ndarray:
-        """exp(log_kernel - row_shift): every row peaks at exactly 1."""
-        return np.exp(self.log_kernel - self.row_shift[:, None])
+        """exp(-cost / gamma - row_shift): every row peaks at exactly 1."""
+        return np.exp(-self.cost / self.gamma - self.row_shift[:, None])
 
     @cached_property
     def T(self) -> "GibbsKernel":
@@ -239,7 +197,7 @@ def _shifted_log_product(kernel, G, weights, need_grad=False, support=None):
     step = max(1, (1 << 20) // G.shape[0])  # repair blocks of at most 8 MB
     for start in range(0, rows.size, step):
         i, u = rows[start:start + step], cols[start:start + step]
-        logits = kernel.log_kernel[i] - kernel.row_shift[i, None] + log_A[:, u].T
+        logits = -kernel.cost[i] / kernel.gamma - kernel.row_shift[i, None] + log_A[:, u].T
         L[i, u] = lse = _logsumexp(logits)
         if need_grad:
             np.add.at(grads.T, u, weights[i, u][:, None] * np.exp(logits - lse[:, None]))

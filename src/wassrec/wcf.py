@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import RankDeficiencyError, SolverError, UnboundedDualError
-from .transport import CostMatrix, GibbsKernel, _histograms, batch_conjugate, batch_sinkhorn
+from .transport import GibbsKernel, _histograms, batch_conjugate, batch_sinkhorn
 
 __all__ = [
     "FactorModel",
@@ -315,34 +315,36 @@ def d_step(lam, P, kernel: GibbsKernel, G0=None):
 
 
 def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: int = 50,
-              seed: int = 0, user_ids=None) -> FactorModel:
+              seed: int = 0, user_ids=None, item_ids=None) -> FactorModel:
     """Alternate loadings and dictionary updates until the objective settles.
 
     ``P`` is a sequence of per-user preference histograms over the
-    interacted items; ``M`` the interacted-to-cold cost, an array or a
-    CostMatrix (whose column ids become the model's item ids), smoothed
-    at ``gamma``.  ``tol`` is the relative objective change across one
-    outer pass that counts as converged, ``max_outer`` caps the outer
-    passes, and ``seed`` draws the initial dictionary.  Each half-step's
-    dual potentials warm-start the next one, projected onto its
-    constraint set.  The objective trace holds the primal Sinkhorn value
-    of the initial factors and of the factors after every half-step.  If
-    a factor goes rank deficient both are redrawn (a bounded number of
-    times), the potentials restart at zero and the trace carries on.
-    Returns the model with the lowest traced objective.
+    interacted items; ``M`` the interacted-to-cold cost, smoothed at
+    ``gamma``.  ``user_ids`` name the histograms and distinct
+    ``item_ids`` the cost columns, both by position if omitted.  ``tol``
+    is the relative objective change across one outer pass that counts
+    as converged, ``max_outer`` caps the outer passes, and ``seed``
+    draws the initial dictionary.  Each half-step's dual potentials
+    warm-start the next one, projected onto its constraint set.  The
+    objective trace holds the primal Sinkhorn value of the initial
+    factors and of the factors after every half-step.  If a factor goes
+    rank deficient both are redrawn (a bounded number of times), the
+    potentials restart at zero and the trace carries on.  Returns the
+    model with the lowest traced objective.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if max_outer < 1:
         raise ValueError("max_outer must be at least 1")
     kernel = GibbsKernel(M, gamma)
-    item_ids = M.col_ids if isinstance(M, CostMatrix) else tuple(range(kernel.shape[1]))
     P_mat, _ = _histograms(np.transpose(P), kernel.shape[0])
-    m = P_mat.shape[1]
-    s = kernel.shape[1]
+    m, s = P_mat.shape[1], kernel.shape[1]
     user_ids = tuple(range(m) if user_ids is None else user_ids)
+    item_ids = tuple(range(s) if item_ids is None else item_ids)
     if len(user_ids) != m:
         raise ValueError("user_ids must name the %d histograms" % m)
+    if len(item_ids) != s or len(set(item_ids)) != s:
+        raise ValueError("item_ids must name the %d cost columns, each once" % s)
 
     trace, best = [], None
 

@@ -34,6 +34,7 @@ from conftest import FIXTURE_DIR, ROOT
 
 RATINGS = str(FIXTURE_DIR / "u.data")
 GENOME = str(FIXTURE_DIR / "genome.csv")
+MISSING = object()  # a manifest value that is deleted rather than replaced
 
 
 def run_pipeline(out, algorithms=("wf", "wcf")):
@@ -232,6 +233,7 @@ class TestTrain:
         split = cold_start_split(table, ratio="3:1", seed=0)[0]
         run = pipeline_out / "runs" / "wcf" / "fold0"
         model = load_model(run / "model")
+        assert model.item_ids == split.cold_items
 
         got = {}
         for line in (run / "predictions.tsv").read_text().splitlines()[1:]:
@@ -426,14 +428,27 @@ class TestEvaluate:
         assert rc == 2
         assert "manifest.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["cold", "interacted", "fold"])
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("cold", MISSING, id="cold"),
+        pytest.param("interacted", MISSING, id="interacted"),
+        pytest.param("fold", MISSING, id="fold"),
+        pytest.param("fold", "zero", id="fold-str"),
+        pytest.param("fold", True, id="fold-bool"),
+        pytest.param("cold", None, id="cold-null"),
+        pytest.param("cold", "1 2", id="cold-str"),
+        pytest.param("interacted", [1.5], id="interacted-float"),
+    ])
     def test_fold_entry_lacking_a_key_is_a_data_error(self, pipeline_out, tmp_path, capsys,
-                                                      key):
+                                                      key, value):
+        # a key that is missing or of the wrong JSON type
         out = tmp_path / "o"
         shutil.copytree(pipeline_out, out)
         path = out / "splits" / "manifest.json"
         manifest = json.loads(path.read_text())
-        del manifest["folds"][0][key]
+        if value is MISSING:
+            del manifest["folds"][0][key]
+        else:
+            manifest["folds"][0][key] = value
         path.write_text(json.dumps(manifest))
         assert main(["evaluate", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -591,6 +606,7 @@ class TestExperimentConfig:
         ["train", "--algorithm", "wcf", "--tol", "-1e-5"],
         ["train", "--algorithm", "wcf", "--max-outer", "0"],
         ["evaluate", "--scope", "0"],
+        ["train", "--algorithm", "wf", "--seed", "-1"],
     ])
     def test_invalid_settings_rejected(self, tmp_path, bad):
         # exit 1 is argparse's: the same run with a valid value exits 0 or 2

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import wassrec.transport as transport
 from wassrec import (
     ConvergenceError,
-    CostMatrix,
     GibbsKernel,
     batch_conjugate,
     batch_sinkhorn,
@@ -74,22 +73,6 @@ class TestEntropy:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             entropy([-0.2, 1.2])
-
-
-class TestCostMatrix:
-    def test_valid(self):
-        cm = CostMatrix(np.zeros((2, 3)), row_ids=(1, 2), col_ids=(3, 4, 5))
-        assert cm.shape == (2, 3)
-
-    def test_rejects_overlapping_ids(self):
-        with pytest.raises(ValueError):
-            CostMatrix(np.zeros((2, 2)), row_ids=(1, 2), col_ids=(2, 3))
-
-    def test_rejects_duplicates_and_negatives(self):
-        with pytest.raises(ValueError):
-            CostMatrix(np.zeros((2, 2)), row_ids=(1, 1), col_ids=(3, 4))
-        with pytest.raises(ValueError):
-            CostMatrix(-np.ones((2, 2)), row_ids=(1, 2), col_ids=(3, 4))
 
 
 class TestExact:
@@ -201,7 +184,7 @@ class TestSinkhorn:
         # scaling iteration cannot even start, so this exercises the
         # log-domain path end to end.
         M, p0, q1, _ = movies
-        assert GibbsKernel(M, 1e-4).log_kernel.min() < math.log(np.finfo(float).tiny)
+        assert (-M / 1e-4).min() < math.log(np.finfo(float).tiny)
         res = sinkhorn(p0, q1, M, gamma=1e-4, max_iter=200_000)
         assert res.marginal_violation < 1e-8
         assert abs(res.transport_cost - 0.18) <= 1e-3
@@ -269,15 +252,36 @@ class TestGibbsKernel:
         np.testing.assert_allclose(k.shifted_kernel * np.exp(k.row_shift)[:, None],
                                    np.exp(-M / 0.05), rtol=1e-12)
         assert k.shifted_kernel.max(axis=1).tolist() == [1.0] * 3
-        assert not k.log_kernel.min() < math.log(np.finfo(float).tiny)
+        assert not (-M / 0.05).min() < math.log(np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.37, 0.05, 1e-3, 1e-4])
+    def test_shift_and_kernel_bit_identical_to_log_form(self, gamma):
+        # the shift is taken from the cost's row minima, the kernel from
+        # the cost directly; both must equal the log-kernel formulas bit
+        # for bit, ties and zero costs included
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            M = np.round(rng.uniform(0.0, 2.0, size=rng.integers(1, 9, size=2)), 2)
+            M[rng.random(M.shape) < 0.2] = 0.0
+            k = GibbsKernel(M, gamma)
+            shift = (-M / gamma).max(axis=1)
+            assert k.row_shift.tobytes() == shift.tobytes()
+            assert k.shifted_kernel.tobytes() == np.exp(-M / gamma - shift[:, None]).tobytes()
 
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ValueError):
             GibbsKernel(np.zeros((2, 2)), 0.0)
 
-    def test_accepts_cost_matrix(self):
-        cm = CostMatrix(np.ones((2, 2)), row_ids=(1, 2), col_ids=(3, 4))
-        assert GibbsKernel.from_cost(cm, 0.5).shape == (2, 2)
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_rejects_invalid_costs(self, bad):
+        M = np.ones((2, 2))
+        M[1, 0] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            GibbsKernel(M, 0.5)
+
+    def test_from_cost_takes_a_plain_array(self):
+        k = GibbsKernel.from_cost(np.ones((2, 3)), 0.5)
+        assert k.shape == (2, 3) and k.cost.dtype == np.float64
 
 
 class TestConjugateValue:

@@ -89,7 +89,7 @@ class TestBatchConjugate:
         M = rng.uniform(70, 80, size=(3, 3))
         gamma = 0.1
         kernel = GibbsKernel(M, gamma)
-        assert kernel.log_kernel.min() < np.log(np.finfo(float).tiny)
+        assert (-M / gamma).min() < np.log(np.finfo(float).tiny)
         P = np.stack([rng.dirichlet(np.ones(3)) for _ in range(4)], axis=1)
         G = rng.normal(scale=0.5, size=(3, 4))
         ents = np.array([entropy(P[:, u]) for u in range(4)])
@@ -320,9 +320,11 @@ class TestTrainWcf:
         rng = np.random.default_rng(2)
         M = rng.uniform(size=(3, 4))
         P = [rng.dirichlet(np.ones(3)) for _ in range(4)]
-        model = train_wcf(P, M, k=2, gamma=0.1, user_ids=(7, 8, 9, 10))
+        model = train_wcf(P, M, k=2, gamma=0.1, user_ids=(7, 8, 9, 10),
+                          item_ids=(21, 23, 22, 20))
         assert model.user_ids == (7, 8, 9, 10)
-        assert model.item_ids == (0, 1, 2, 3)
+        assert model.item_ids == (21, 23, 22, 20)
+        assert train_wcf(P, M, k=2, gamma=0.1).item_ids == (0, 1, 2, 3)
         assert model.k == 2
 
     def test_redraw_on_rank_deficiency(self, monkeypatch):
@@ -353,6 +355,10 @@ class TestTrainWcf:
             train_wcf(P, M, k=2, gamma=0.05)  # k > min(s, m)
         with pytest.raises(ValueError):
             train_wcf(P, M, k=1, gamma=0.05, user_ids=(1, 2))
+        with pytest.raises(ValueError, match="item_ids must name the 3 cost columns"):
+            train_wcf(P, M, k=1, gamma=0.05, item_ids=(4, 5))
+        with pytest.raises(ValueError, match="item_ids must name the 3 cost columns"):
+            train_wcf(P, M, k=1, gamma=0.05, item_ids=(4, 5, 4))
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             train_wcf(P, M, k=1, gamma=0.05, tol=-1.0)
         with pytest.raises(ValueError, match="max_outer must be at least 1"):
