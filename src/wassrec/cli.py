@@ -15,9 +15,10 @@ to the WASSREC_OUT environment variable, then ./wassrec-out):
   prediction file must rank exactly the fold's cold items.
 
 Each flag value is checked once, by its argparse type, before any file
-is read or written.  ``main`` resolves the output directory to a Path
-on the parsed namespace and hands that namespace to the stage's
-``cmd_*`` function.
+is read or written; ``main`` then checks --folds against the --ratio's
+subset count, also as a usage error.  ``main`` resolves the output
+directory to a Path on the parsed namespace and hands that namespace to
+the stage's ``cmd_*`` function.
 
 Every file the pipeline writes is deterministic for fixed flags, seed
 and BLAS thread count: reruns are byte-identical.  Exit codes: 0
@@ -197,8 +198,6 @@ def cmd_train(args) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
 
         users, P = _fold_histograms(split)
-        if not users:
-            raise DataError("fold %d has no trainable users" % split.fold)
         dropped = sorted(set(int(u) for u in split.test.users) - set(users))
         if dropped:
             print("fold %d: skipping %d user(s) with no training interactions"
@@ -336,6 +335,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "train" and (args.folds or 0) > RATIOS[args.ratio][0]:
+            parser.error("argument --folds: must be in 1..%d for ratio %s"
+                         % (RATIOS[args.ratio][0], args.ratio))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     args.out = Path(args.out or os.environ.get(OUT_ENV) or DEFAULT_OUT)

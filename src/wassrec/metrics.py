@@ -1,11 +1,10 @@
 """Ranking metrics over cold-item recommendation lists.
 
-Every sum over ranks accumulates left to right in rank order: the
-scalar metrics in a plain loop, ``evaluate_run`` as a row ``cumsum``
-of a users x ranks hit matrix, whose additions of exact zeros at the
-misses change nothing.  Results are reproducible bit for bit, and the
-batched scores equal the scalar ones, which can be checked against
-literal formula translations.
+``evaluate_run`` scores a whole run from one users x ranks hit matrix.
+Every sum over ranks accumulates left to right in rank order, as a row
+``cumsum`` whose additions of exact zeros at the misses change nothing,
+so the scores are reproducible bit for bit and equal literal formula
+translations that sum in the same order.
 """
 
 import math
@@ -18,20 +17,9 @@ from .exceptions import DataError
 __all__ = [
     "UserScores",
     "EvaluationReport",
-    "average_precision",
-    "ndcg_at",
-    "recall_at",
     "evaluate_run",
     "write_report_files",
 ]
-
-
-def _ranked_ids(ranked):
-    """A sequence of item ids as a duplicate-free list."""
-    ids = list(ranked)
-    if len(set(ids)) != len(ids):
-        raise ValueError("ranking contains duplicate items")
-    return ids
 
 
 def _item_array(ranked):
@@ -40,63 +28,6 @@ def _item_array(ranked):
     if ids.size and ids.dtype.kind not in "iu":
         raise ValueError("rankings must hold integer item ids")
     return ids.astype(np.int64, copy=False)
-
-
-def _check_positives(ids, positives):
-    positives = set(positives)
-    if not positives:
-        raise ValueError("positives must be nonempty")
-    missing = positives.difference(ids)
-    if missing:
-        raise ValueError("positives %r are missing from the ranking" % (sorted(missing),))
-    return positives
-
-
-def average_precision(ranked, positives) -> float:
-    """Mean of precision-at-r over the ranks r that hit a positive.
-
-    Every positive must appear somewhere in the ranking (cold-start
-    lists rank the whole cold catalog), so the denominator is the
-    number of positives.
-    """
-    ids = _ranked_ids(ranked)
-    pos = _check_positives(ids, positives)
-    hits = 0
-    total = 0.0
-    for r, item in enumerate(ids, start=1):
-        if item in pos:
-            hits += 1
-            total += hits / r
-    return total / len(pos)
-
-
-def ndcg_at(ranked, positives, scope: int) -> float:
-    """Binary NDCG truncated at ``scope``: gain 1, discount log2(rank + 1).
-
-    The ideal DCG places min(scope, #positives) hits at the top.
-    """
-    if scope < 1:
-        raise ValueError("scope must be at least 1")
-    ids = _ranked_ids(ranked)
-    pos = _check_positives(ids, positives)
-    dcg = 0.0
-    for r, item in enumerate(ids[:scope], start=1):
-        if item in pos:
-            dcg += 1.0 / math.log2(r + 1)
-    ideal = 0.0
-    for r in range(1, min(scope, len(pos)) + 1):
-        ideal += 1.0 / math.log2(r + 1)
-    return dcg / ideal
-
-
-def recall_at(ranked, positives, scope: int) -> float:
-    """Fraction of the positives that appear in the top ``scope`` ranks."""
-    if scope < 1:
-        raise ValueError("scope must be at least 1")
-    ids = _ranked_ids(ranked)
-    pos = _check_positives(ids, positives)
-    hits = sum(1 for item in ids[:scope] if item in pos)
-    return hits / len(pos)
 
 
 @dataclass(frozen=True)
@@ -126,13 +57,23 @@ def evaluate_run(predictions, test_interactions, scope: int = 20,
 
     ``predictions`` maps user id to a ranking of the cold catalog, a
     sequence of integer item ids.  ``test_interactions`` is an
-    interaction table over cold items.  Users whose ranking exists but
-    who have no test positives are excluded from the means and counted.
-    A user with test positives but no ranking is an error: upstream code
-    must either predict for every evaluable user or drop the user from
-    the test table deliberately.  The scores equal
-    ``average_precision``, ``ndcg_at`` and ``recall_at`` bit for bit,
-    and a ranking those reject raises their error.
+    interaction table over cold items.  Per user:
+
+    * AP is the mean of precision-at-r over the ranks r that hit a
+      positive, divided by the number of positives;
+    * NDCG is binary DCG over the top ``scope`` ranks (gain 1, discount
+      1/log2(rank + 1)) over the ideal DCG of min(scope, #positives)
+      hits at the top;
+    * recall is the fraction of the positives in the top ``scope`` ranks.
+
+    Users whose ranking exists but who have no test positives are
+    excluded from the means and counted.  A user with test positives but
+    no ranking is an error: upstream code must either predict for every
+    evaluable user or drop the user from the test table deliberately.
+    Every positive must appear in its user's ranking (cold-start lists
+    rank the whole cold catalog), and no ranking may repeat an item; the
+    first user in ``predictions`` order that breaks either rule raises
+    ``ValueError``.
     """
     if scope < 1:
         raise ValueError("scope must be at least 1")
@@ -170,10 +111,13 @@ def evaluate_run(predictions, test_interactions, scope: int = 20,
     repeated = np.zeros(users.size, dtype=bool)
     repeated[cells[1:][cells[1:] == cells[:-1]] // vocab.size] = True
     bad = repeated | (np.bincount(row[hit], minlength=users.size) < n_pos)
-    if bad.any():  # the first such user raises the scalar metrics' error
+    if bad.any():
         k = int(np.argmax(bad))
+        if repeated[k]:
+            raise ValueError("ranking contains duplicate items")
         positives = vocab[pos_cells[pos_cells // vocab.size == k] % vocab.size]
-        average_precision(rankings[k].tolist(), positives.tolist())
+        raise ValueError("positives %r are missing from the ranking"
+                         % (np.setdiff1d(positives, rankings[k]).tolist(),))
 
     H = np.zeros((users.size, int(lengths.max())), dtype=bool)
     H[row, rank] = hit

@@ -93,7 +93,7 @@ class FactorModel:
         L = np.asarray(self.loadings, dtype=np.float64)
         if D.ndim != 2 or L.ndim != 2 or D.shape[1] != L.shape[0]:
             raise ValueError("dictionary %s and loadings %s are incompatible"
-                             % ((D.shape,), (L.shape,)))
+                             % (D.shape, L.shape))
         if not (np.all(np.isfinite(D)) and np.all(np.isfinite(L))):
             raise ValueError("factors must be finite")
         if not 0 < float(self.gamma) < np.inf:

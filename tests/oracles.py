@@ -2,11 +2,12 @@
 
 Everything here is deliberately independent of the library's solver
 internals: textbook scaling updates, dense simplex grids, exhaustive
-enumeration, line-by-line file parsing.  Slow and simple on purpose, so
-that a bug in the library and a bug in the oracle are unlikely to
-coincide.
+enumeration, ranking metrics as their formulas read, line-by-line file
+parsing.  Slow and simple on purpose, so that a bug in the library and a
+bug in the oracle are unlikely to coincide.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -169,6 +170,33 @@ def weighted_projection(V, W, A):
         y = np.linalg.lstsq(root[:, None] * N, V[:, u] / root, rcond=None)[0]
         X[:, u] = N @ y
     return X
+
+
+def oracle_ap(ids, pos):
+    """Average precision as its formula reads: the mean over positives of
+    the precision at their ranks, accumulated in ascending rank order."""
+    total = 0.0
+    for r in range(1, len(ids) + 1):
+        if ids[r - 1] in pos:
+            total += sum(1 for k in range(r) if ids[k] in pos) / r
+    return total / len(pos)
+
+
+def oracle_ndcg(ids, pos, scope):
+    """Binary NDCG at ``scope``, discount 1/log2(rank + 1), in rank order."""
+    dcg = 0.0
+    for r in range(1, min(scope, len(ids)) + 1):
+        if ids[r - 1] in pos:
+            dcg += 1.0 / math.log2(r + 1)
+    ideal = 0.0
+    for r in range(1, min(scope, len(pos)) + 1):
+        ideal += 1.0 / math.log2(r + 1)
+    return dcg / ideal
+
+
+def oracle_recall(ids, pos, scope):
+    """Share of the positives among the top ``scope`` ranks."""
+    return sum(1 for i in ids[:scope] if i in pos) / len(pos)
 
 
 def rank_by_key(q, ids):

@@ -19,15 +19,13 @@ import pytest
 from oracles import entropic_value_many, simplex_grid
 from wassrec import (
     GibbsKernel,
-    average_precision,
     cold_start_split,
     conjugate_grad,
     conjugate_value,
+    evaluate_run,
     exact_ot,
     infer_cold,
-    ndcg_at,
     predict_user,
-    recall_at,
     sinkhorn,
     train_wcf,
 )
@@ -178,20 +176,23 @@ def test_08_metrics_match_exhaustive_enumeration():
     def recall_oracle(perm, pos, scope):
         return len(set(perm[:scope]) & pos) / len(pos)
 
+    # one run per positive set, every permutation of the catalog a user
     checked = 0
     for size in range(1, 6):
         catalog = list(range(1, size + 1))
-        subsets = [
-            set(c)
-            for r in range(1, size + 1)
-            for c in itertools.combinations(catalog, r)
-        ]
-        for perm in itertools.permutations(catalog):
-            for pos in subsets:
-                assert average_precision(perm, pos) == ap_oracle(perm, pos)
-                assert ndcg_at(perm, pos, 20) == ndcg_oracle(perm, pos, 20)
-                assert recall_at(perm, pos, 20) == recall_oracle(perm, pos, 20)
-                checked += 1
+        perms = list(itertools.permutations(catalog))
+        for r in range(1, size + 1):
+            for pos in map(set, itertools.combinations(catalog, r)):
+                test = InteractionTable(
+                    np.repeat(np.arange(len(perms)), r), np.tile(sorted(pos), len(perms)),
+                    np.ones(len(perms) * r), np.zeros(len(perms) * r, dtype=np.int64))
+                report = evaluate_run(dict(enumerate(perms)), test, scope=20)
+                for user, perm in enumerate(perms):
+                    scores = report.per_user[user]
+                    assert scores.ap == ap_oracle(perm, pos)
+                    assert scores.ndcg == ndcg_oracle(perm, pos, 20)
+                    assert scores.recall == recall_oracle(perm, pos, 20)
+                    checked += 1
     print("ACCEPTANCE 8: PASS (%d ranking/positive-set pairs, exact equality)"
           % checked)
 

@@ -15,22 +15,20 @@ from wassrec import (
     GibbsKernel,
     SolverError,
     UnboundedDualError,
-    average_precision,
     build_cost_matrix,
     cold_start_split,
     infer_cold,
     load_genome,
     load_interactions,
     load_model,
-    ndcg_at,
     predict_user,
     rank_items,
-    recall_at,
     train_wcf,
 )
 from wassrec.cli import main
 
 from conftest import FIXTURE_DIR, ROOT
+from oracles import oracle_ap, oracle_ndcg, oracle_recall
 
 RATINGS = str(FIXTURE_DIR / "u.data")
 GENOME = str(FIXTURE_DIR / "genome.csv")
@@ -389,9 +387,9 @@ class TestEvaluate:
             positives = set(
                 int(i) for u, i in zip(test.user_ids, test.item_ids) if u == user)
             assert positives
-            assert float(ap_s) == average_precision(items, positives)
-            assert float(ndcg_s) == ndcg_at(items, positives, 20)
-            assert float(recall_s) == recall_at(items, positives, 20)
+            assert float(ap_s) == oracle_ap(items, positives)
+            assert float(ndcg_s) == oracle_ndcg(items, positives, 20)
+            assert float(recall_s) == oracle_recall(items, positives, 20)
 
     def test_comparative_summary_layout(self, pipeline_out):
         lines = (pipeline_out / "reports" / "summary.tsv").read_text().splitlines()
@@ -419,9 +417,11 @@ class TestEvaluate:
         out = tmp_path / "o"
         assert main(["prepare", "--ratings", RATINGS, "--genome", GENOME,
                      "--out", str(out)]) == 0
-        rc = main(["evaluate", "--out", str(out)])
-        assert rc == 2
+        assert main(["train", "--algorithm", "wf", "--out", str(out)]) == 0
+        shutil.rmtree(out / "runs")
         capsys.readouterr()
+        assert main(["evaluate", "--out", str(out)]) == 2
+        assert "no runs found under %s" % (out / "runs") in capsys.readouterr().err
 
     def test_requires_manifest(self, tmp_path, capsys):
         rc = main(["evaluate", "--out", str(tmp_path / "void")])
@@ -607,6 +607,8 @@ class TestExperimentConfig:
         ["train", "--algorithm", "wcf", "--max-outer", "0"],
         ["evaluate", "--scope", "0"],
         ["train", "--algorithm", "wf", "--seed", "-1"],
+        ["train", "--algorithm", "wf", "--folds", "5"],
+        ["train", "--algorithm", "wf", "--ratio", "1:1", "--folds", "3"],
     ])
     def test_invalid_settings_rejected(self, tmp_path, bad):
         # exit 1 is argparse's: the same run with a valid value exits 0 or 2

@@ -6,110 +6,94 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_ap, oracle_ndcg, oracle_recall
 from wassrec import DataError
 from wassrec.dataio import InteractionTable
-from wassrec.metrics import (
-    EvaluationReport,
-    average_precision,
-    evaluate_run,
-    ndcg_at,
-    recall_at,
-    write_report_files,
-)
+from wassrec.metrics import evaluate_run, write_report_files
 
 
-def oracle_ap(ids, pos):
-    # literal formula: mean over positives of precision at their ranks,
-    # accumulated in ascending rank order
-    total = 0.0
-    for r in range(1, len(ids) + 1):
-        if ids[r - 1] in pos:
-            total += sum(1 for k in range(r) if ids[k] in pos) / r
-    return total / len(pos)
+def _table(rows):
+    u, i = zip(*rows)
+    return InteractionTable(np.array(u), np.array(i), np.ones(len(u)),
+                            np.zeros(len(u), dtype=np.int64))
 
 
-def oracle_ndcg(ids, pos, scope):
-    dcg = 0.0
-    for r in range(1, min(scope, len(ids)) + 1):
-        if ids[r - 1] in pos:
-            dcg += 1.0 / math.log2(r + 1)
-    ideal = 0.0
-    for r in range(1, min(scope, len(pos)) + 1):
-        ideal += 1.0 / math.log2(r + 1)
-    return dcg / ideal
+def _score(ranked, positives, scope=20):
+    """One user's scores, through ``evaluate_run``."""
+    rep = evaluate_run({1: list(ranked)}, _table([(1, i) for i in positives]), scope=scope)
+    return rep.per_user[1]
 
 
-def oracle_recall(ids, pos, scope):
-    return sum(1 for i in ids[:scope] if i in pos) / len(pos)
+def _every_permutation(items, positives, scope):
+    """Each permutation of ``items`` with its scores, from one run that
+    holds every permutation as a user with the same positives."""
+    perms = list(itertools.permutations(items))
+    rows = [(u, i) for u in range(len(perms)) for i in positives]
+    rep = evaluate_run(dict(enumerate(perms)), _table(rows), scope=scope)
+    return [(list(perm), rep.per_user[u]) for u, perm in enumerate(perms)]
 
 
 class TestAveragePrecision:
     def test_hand_example(self):
         # hits at ranks 1 and 3: (1/1 + 2/3) / 2
-        assert average_precision(["a", "b", "c"], {"a", "c"}) == (1.0 + 2 / 3) / 2
+        assert _score([1, 2, 3], {1, 3}).ap == (1.0 + 2 / 3) / 2
 
     def test_perfect_and_worst_orderings(self):
-        assert average_precision([1, 2, 3, 4], {1, 2}) == 1.0
-        assert average_precision([3, 4, 1, 2], {1, 2}) == (1 / 3 + 2 / 4) / 2
+        assert _score([1, 2, 3, 4], {1, 2}).ap == 1.0
+        assert _score([3, 4, 1, 2], {1, 2}).ap == (1 / 3 + 2 / 4) / 2
 
     def test_requires_positives_in_ranking(self):
-        with pytest.raises(ValueError):
-            average_precision([1, 2], {3})
-        with pytest.raises(ValueError):
-            average_precision([1, 2], set())
+        with pytest.raises(ValueError, match="missing from the ranking"):
+            _score([1, 2], {3})
 
     def test_matches_enumeration_exactly(self):
         items = list(range(4))
-        for perm in itertools.permutations(items):
-            for r in range(1, 5):
-                for pos in itertools.combinations(items, r):
-                    assert average_precision(perm, set(pos)) == oracle_ap(perm, set(pos))
+        for r in range(1, 5):
+            for pos in map(set, itertools.combinations(items, r)):
+                for perm, scores in _every_permutation(items, pos, 20):
+                    assert scores.ap == oracle_ap(perm, pos)
 
 
 class TestNdcg:
     def test_hand_example(self):
         # single positive at rank 2 of 2: 1/log2(3)
-        val = ndcg_at(["a", "b"], {"b"}, scope=2)
+        val = _score([1, 2], {2}, scope=2).ndcg
         assert val == 1.0 / math.log2(3)
         assert val == pytest.approx(0.63092975357145743, rel=1e-15)
 
     def test_perfect_prefix_is_one(self):
-        assert ndcg_at([5, 6, 7], {5, 6}, scope=2) == 1.0
+        assert _score([5, 6, 7], {5, 6}, scope=2).ndcg == 1.0
 
     def test_scope_truncates(self):
         # the positive sits below the scope cutoff
-        assert ndcg_at([1, 2, 3], {3}, scope=2) == 0.0
+        assert _score([1, 2, 3], {3}, scope=2).ndcg == 0.0
 
     def test_ideal_uses_min_scope_positives(self):
         # 3 positives but scope 2: ideal has hits at ranks 1 and 2 only
-        val = ndcg_at([1, 2, 9, 3, 4], {1, 3, 4}, scope=2)
+        val = _score([1, 2, 9, 3, 4], {1, 3, 4}, scope=2).ndcg
         assert val == (1.0) / (1.0 + 1.0 / math.log2(3))
 
     def test_matches_enumeration_exactly(self):
         items = list(range(4))
-        for perm in itertools.permutations(items):
-            for r in range(1, 5):
-                for pos in itertools.combinations(items, r):
-                    for scope in (1, 2, 4, 10):
-                        assert ndcg_at(perm, set(pos), scope) == oracle_ndcg(
-                            list(perm), set(pos), scope
-                        )
+        for r in range(1, 5):
+            for pos in map(set, itertools.combinations(items, r)):
+                for scope in (1, 2, 4, 10):
+                    for perm, scores in _every_permutation(items, pos, scope):
+                        assert scores.ndcg == oracle_ndcg(perm, pos, scope)
 
 
 class TestRecall:
     def test_hand_examples(self):
-        assert recall_at([1, 2, 3, 4], {2, 4}, scope=2) == 0.5
-        assert recall_at([1, 2, 3, 4], {2, 4}, scope=4) == 1.0
-        assert recall_at([1, 2], {1, 2}, scope=1) == 0.5
+        assert _score([1, 2, 3, 4], {2, 4}, scope=2).recall == 0.5
+        assert _score([1, 2, 3, 4], {2, 4}, scope=4).recall == 1.0
+        assert _score([1, 2], {1, 2}, scope=1).recall == 0.5
 
     def test_matches_enumeration_exactly(self):
         items = list(range(4))
-        for perm in itertools.permutations(items):
-            for pos in itertools.combinations(items, 2):
-                for scope in (1, 3):
-                    assert recall_at(perm, set(pos), scope) == oracle_recall(
-                        list(perm), set(pos), scope
-                    )
+        for pos in map(set, itertools.combinations(items, 2)):
+            for scope in (1, 3):
+                for perm, scores in _every_permutation(items, pos, scope):
+                    assert scores.recall == oracle_recall(perm, pos, scope)
 
 
 class TestSwapMonotonicity:
@@ -129,15 +113,10 @@ class TestSwapMonotonicity:
             swapped = ids.copy()
             swapped[a], swapped[b] = swapped[b], swapped[a]
             scope = int(rng.integers(1, n + 1))
-            assert average_precision(swapped, pos) >= average_precision(ids, pos)
-            assert ndcg_at(swapped, pos, scope) >= ndcg_at(ids, pos, scope)
-            assert recall_at(swapped, pos, scope) >= recall_at(ids, pos, scope)
-
-
-def _table(rows):
-    u, i = zip(*rows)
-    return InteractionTable(np.array(u), np.array(i), np.ones(len(u)),
-                            np.zeros(len(u), dtype=np.int64))
+            before, after = _score(ids, pos, scope), _score(swapped, pos, scope)
+            assert after.ap >= before.ap
+            assert after.ndcg >= before.ndcg
+            assert after.recall >= before.recall
 
 
 class TestEvaluateRun:
@@ -212,8 +191,8 @@ class TestEvaluateRunAgainstScalarMetrics:
         positives = {}
         for u, i in rows:
             positives.setdefault(u, set()).add(i)
-        want = {u: (average_precision(predictions[u], pos), ndcg_at(predictions[u], pos, scope),
-                    recall_at(predictions[u], pos, scope)) for u, pos in positives.items()}
+        want = {u: (oracle_ap(predictions[u], pos), oracle_ndcg(predictions[u], pos, scope),
+                    oracle_recall(predictions[u], pos, scope)) for u, pos in positives.items()}
         assert {u: (s.ap, s.ndcg, s.recall) for u, s in rep.per_user.items()} == want
         assert list(rep.per_user) == [u for u in predictions if u in positives]
         assert rep.excluded_user_count == len(predictions) - len(positives)
@@ -221,24 +200,18 @@ class TestEvaluateRunAgainstScalarMetrics:
         assert (rep.mean_ap, rep.mean_ndcg, rep.mean_recall) == tuple(
             sum(s[k] for s in scores) / len(scores) for k in range(3))
 
-    @pytest.mark.parametrize("predictions, rows", [
-        ({1: [10, 11, 10], 2: [10]}, [(1, 10), (2, 10)]),
-        ({3: [10, 11], 1: [10, 11]}, [(3, 12), (1, 13)]),
-        ({1: [10, 11, 10], 2: [10, 12]}, [(2, 11), (1, 10)]),
-        ({2: [10, 10], 1: [11]}, [(1, 11)]),  # no positives: not looked at
-    ])
-    def test_invalid_rankings_raise_the_scalar_error(self, predictions, rows):
-        positives = {}
-        for u, i in rows:
-            positives.setdefault(u, set()).add(i)
-        want = None
-        for u in predictions:
-            if u in positives:
-                try:
-                    average_precision(predictions[u], positives[u])
-                except ValueError as err:
-                    want = str(err)
-                    break
+    @pytest.mark.parametrize("predictions, rows, want", [
+        ({1: [10, 11, 10], 2: [10]}, [(1, 10), (2, 10)], "ranking contains duplicate items"),
+        ({3: [10, 11], 1: [10, 11]}, [(3, 12), (1, 13)],
+         "positives [12] are missing from the ranking"),
+        ({1: [10, 11, 10], 2: [10, 12]}, [(2, 11), (1, 10)], "ranking contains duplicate items"),
+        ({1: [10, 11]}, [(1, 14), (1, 10), (1, 12)],
+         "positives [12, 14] are missing from the ranking"),
+        ({2: [10, 10], 1: [11]}, [(1, 11)], None),  # no positives: not looked at
+    ], ids=["duplicate", "missing-first-user", "duplicate-before-missing", "missing-sorted",
+            "excluded-duplicate"])
+    def test_invalid_rankings_raise_the_scalar_error(self, predictions, rows, want):
+        # the first bad user in prediction order raises, with these messages
         if want is None:
             assert evaluate_run(predictions, _table(rows), scope=2).evaluated_user_count == 1
         else:

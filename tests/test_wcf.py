@@ -348,6 +348,24 @@ class TestTrainWcf:
         assert calls["n"] >= 2
         assert np.all(np.isfinite(model.dictionary))
 
+    def test_redraw_budget_then_error(self, monkeypatch):
+        real_init = wcf.init_factors
+
+        def deficient_init(s, m, k, seed=0):
+            D, lam = real_init(s, m, k, seed=seed)
+            D = D.copy()
+            D[:, -1] = D[:, 0]  # every draw rank deficient
+            return D, lam
+
+        monkeypatch.setattr(wcf, "init_factors", deficient_init)
+        rng = np.random.default_rng(1)
+        M = rng.uniform(size=(3, 4))
+        P = [rng.dirichlet(np.ones(3)) for _ in range(4)]
+        with pytest.warns(UserWarning) as record, pytest.raises(RankDeficiencyError):
+            train_wcf(P, M, k=2, gamma=0.1)
+        assert [str(w.message) for w in record if "redrawing" in str(w.message)] == [
+            "redrawing dictionary after rank deficiency (attempt %d)" % a for a in (1, 2, 3)]
+
     def test_rejects_bad_inputs(self):
         M = np.ones((2, 3))
         P = [np.array([0.5, 0.5])]
@@ -432,6 +450,23 @@ class TestPredictAndPersistence:
         manifest = tmp_path / "m" / "manifest.json"
         manifest.write_text(manifest.read_text().replace('"gamma": 0.05', '"gamma": NaN'))
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("manifest.json", lambda text: text.replace('"k": 2', '"k": 3'),
+         "manifest k 3 does not match dictionary"),
+        ("manifest.json", lambda text: text.replace("    11,\n", "", 1),
+         "item_ids must name the 3 dictionary rows"),
+        ("dictionary.tsv", lambda text: "nan" + text[text.index("\t"):],
+         "factors must be finite"),
+        ("loadings.tsv", lambda text: text[:text.index("\n") + 1],
+         re.escape("dictionary (3, 2) and loadings (1, 2) are incompatible")),
+    ], ids=["k", "item-ids", "nan", "shape"])
+    def test_load_rejects_tampered_directory(self, tmp_path, name, edit, message):
+        save_model(self._model(), tmp_path / "m")
+        target = tmp_path / "m" / name
+        target.write_text(edit(target.read_text()))
+        with pytest.raises(ValueError, match=message):
             load_model(tmp_path / "m")
 
     def test_format_guard(self, tmp_path):
