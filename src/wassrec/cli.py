@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wcf outer-loop relative tolerance (default 1e-5)")
     t.add_argument("--max-outer", dest="max_outer", type=_finite(int), default=50,
                    help="wcf outer-iteration cap (default 50)")
-    t.set_defaults(func=cmd_train)
+    t.set_defaults(func=cmd_train, subparser=t)
 
     e = sub.add_parser("evaluate", parents=[common],
                        help="score trained runs against held-out cold items")
@@ -336,8 +336,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "train" and (args.folds or 0) > RATIOS[args.ratio][0]:
-            parser.error("argument --folds: must be in 1..%d for ratio %s"
-                         % (RATIOS[args.ratio][0], args.ratio))
+            args.subparser.error("argument --folds: must be in 1..%d for ratio %s"
+                                 % (RATIOS[args.ratio][0], args.ratio))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     args.out = Path(args.out or os.environ.get(OUT_ENV) or DEFAULT_OUT)

@@ -280,12 +280,14 @@ def _newton(p, q, f, g, cost, gamma, tol):
     g[cols] = x[n:]
 
 
-def _scale(P, Q, kernel, tol, max_iter):
+def _scale(P, Q, kernel, tol, max_iter, G0=None):
     """Log-domain Sinkhorn on all pairs: f = gamma (log p - log K e^(g/gamma)), mirrored.
 
     Returns F, G, the row sums R of the plans e^((f_i + g_j - M_ij)/gamma)
-    (their columns are Q), iterations and violation.  Zero-mass entries
-    hold potential -inf from the start, so they carry no plan mass.
+    (their columns are Q), iterations and violation.  The column
+    potentials start at ``G0`` (s x m, checked by the caller), zero when
+    None.  Zero-mass entries hold potential -inf from the start, so they
+    carry no plan mass.
     After _NEWTON_AFTER iterations each pair still open gets a damped
     Newton solve (``_newton``) from its current potentials, and the
     scaling loop carries on from there; pairs that close before then
@@ -299,7 +301,8 @@ def _scale(P, Q, kernel, tol, max_iter):
     cells = np.flatnonzero(P)  # rows are checked where they carry mass
     p, users = P.ravel()[cells], cells % P.shape[1]
     support = cells if cells.size < P.size else None  # F is -inf off P's support
-    b, L, _ = _shifted_log_product(kernel, np.where(Q > 0, 0.0, -np.inf), P)
+    G = np.where(Q > 0, 0.0 if G0 is None else G0, -np.inf)
+    b, L, _ = _shifted_log_product(kernel, G, P)
     for it in range(1, max_iter + 1):
         F = gamma * (log_P - L) - b
         b_flip, L_flip, _ = _shifted_log_product(flip, F, Q, support=support)
@@ -327,13 +330,17 @@ def _scale(P, Q, kernel, tol, max_iter):
 
 
 def batch_sinkhorn(P, Q, kernel: GibbsKernel, tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER):
+                   max_iter: int = DEFAULT_MAX_ITER, G0=None):
     """Smoothed transport values W_gamma(p_u, q_u) of many histogram pairs at once.
 
     Columns of P (n x m) and Q (s x m) are histograms (renormalized
     here; zero entries allowed).  Each Sinkhorn step is one stabilized
     product per side for every pair, at any gamma; a pair still open
     after _NEWTON_AFTER steps gets a damped Newton finish on its dual.
+    ``G0`` (s x m) warm-starts the column potentials, which must be
+    finite where Q has mass; None starts them at zero.  Potentials that
+    already balance the pairs, such as a dual block solve's whose
+    conjugate gradients are Q, close the scaling in a few steps.
     Returns the values <T_u, M> - gamma h(T_u) of the final plans, the
     iterations the slowest pair needed and the worst marginal violation;
     raises ConvergenceError if ``max_iter`` passes are not enough.
@@ -344,7 +351,14 @@ def batch_sinkhorn(P, Q, kernel: GibbsKernel, tol: float = DEFAULT_TOL,
     if P.shape[1] != Q.shape[1]:
         raise ValueError("P has %d columns but Q has %d" % (P.shape[1], Q.shape[1]))
     _check_budget(tol, max_iter)
-    F, G, R, iterations, viol = _scale(P, Q, kernel, tol, max_iter)
+    if G0 is not None:
+        G0 = np.asarray(G0, dtype=np.float64)
+        if G0.shape != Q.shape:
+            raise ValueError("warm-start potentials have shape %s, expected %s"
+                             % (G0.shape, Q.shape))
+        if not np.all(np.isfinite(G0[Q > 0])):
+            raise ValueError("warm-start potentials must be finite where Q has mass")
+    F, G, R, iterations, viol = _scale(P, Q, kernel, tol, max_iter, G0)
     # <T, M> - gamma h(T) = <f, rows of T> + <g, columns of T>
     values = (np.einsum("ij,ij->j", R, np.where(P > 0, F, 0.0))
               + np.einsum("ij,ij->j", Q, np.where(Q > 0, G, 0.0)))

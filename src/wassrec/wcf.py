@@ -193,7 +193,7 @@ def _pgd(P, G0, kernel, entropies, project, groups, block):
         G0 = np.zeros(shape)
     elif np.shape(G0) != shape:
         raise ValueError("warm-start potentials have shape %s, expected %s"
-                         % ((np.shape(G0),), (shape,)))
+                         % (np.shape(G0), shape))
     n_groups = int(groups.max()) + 1
     frozen = np.zeros(n_groups, dtype=bool)
     G = project(np.array(G0, dtype=np.float64))
@@ -240,9 +240,14 @@ def _pgd(P, G0, kernel, entropies, project, groups, block):
     return G, grads
 
 
-def _primal_objective(D, lam, P_mat, kernel):
+def _primal_objective(D, lam, P_mat, kernel, G0=None):
+    """sum_u W_gamma(p_u, D lambda_u) by one batched Sinkhorn solve.
+
+    ``G0`` (s x m) starts the solve's column potentials, zero when None;
+    a block solve's final potentials are nearly the solution's.
+    """
     values, _, _ = batch_sinkhorn(P_mat, _clean_histogram(D @ lam), kernel,
-                                  tol=_OBJECTIVE_TOL, max_iter=_OBJECTIVE_MAX_ITER)
+                                  tol=_OBJECTIVE_TOL, max_iter=_OBJECTIVE_MAX_ITER, G0=G0)
     return float(values.sum())
 
 
@@ -327,10 +332,13 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
     draws the initial dictionary.  Each half-step's dual potentials
     warm-start the next one, projected onto its constraint set.  The
     objective trace holds the primal Sinkhorn value of the initial
-    factors and of the factors after every half-step.  If a factor goes
-    rank deficient both are redrawn (a bounded number of times), the
-    potentials restart at zero and the trace carries on.  Returns the
-    model with the lowest traced objective.
+    factors and of the factors after every half-step; each half-step's
+    Sinkhorn starts from that half-step's potentials, which balance
+    its users' pairs up to the block solve's tolerance, and the initial
+    one from zero.  If a factor goes rank deficient both are redrawn
+    (a bounded number of times), the potentials restart at zero and
+    the trace carries on.  Returns the model with the lowest traced
+    objective.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
@@ -348,15 +356,15 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
 
     trace, best = [], None
 
-    def score(D, lam):
+    def score(D, lam, G):
         nonlocal best
-        trace.append(_primal_objective(D, lam, P_mat, kernel))
+        trace.append(_primal_objective(D, lam, P_mat, kernel, G))
         if best is None or trace[-1] < best[0]:
             best = (trace[-1], D, lam)
 
     D, lam = init_factors(s, m, k, seed=seed)
-    score(D, lam)
     G = None
+    score(D, lam, G)
     prev = trace[0]
     redraws = 0
     outer = 0
@@ -364,7 +372,7 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
     while outer < max_outer:
         try:
             lam, G = lambda_step(D, P_mat.T, kernel, G)
-            score(D, lam)
+            score(D, lam, G)
             D, G = d_step(lam, P_mat.T, kernel, G)
         except RankDeficiencyError as err:
             redraws += 1
@@ -375,7 +383,7 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
             D, lam = init_factors(s, m, k, seed=int(rng.integers(2 ** 31)))
             G = None
             continue
-        score(D, lam)
+        score(D, lam, G)
         if abs(trace[-1] - prev) <= tol * max(1.0, abs(prev)):
             break
         prev = trace[-1]

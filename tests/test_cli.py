@@ -610,7 +610,9 @@ class TestExperimentConfig:
         ["train", "--algorithm", "wf", "--folds", "5"],
         ["train", "--algorithm", "wf", "--ratio", "1:1", "--folds", "3"],
     ])
-    def test_invalid_settings_rejected(self, tmp_path, bad):
+    def test_invalid_settings_rejected(self, tmp_path, capsys, bad):
         # exit 1 is argparse's: the same run with a valid value exits 0 or 2
         assert main(bad + ["--out", str(tmp_path / "never")]) == 1
         assert not (tmp_path / "never").exists()
+        # the usage line is the subcommand's, whichever check refused the flag
+        assert capsys.readouterr().err.startswith("usage: wassrec %s " % bad[0])

@@ -12,6 +12,7 @@ from wassrec import (
     SolverError,
     UnboundedDualError,
     batch_conjugate,
+    batch_sinkhorn,
     entropy,
     infer_cold,
     sinkhorn,
@@ -306,15 +307,53 @@ class TestTrainWcf:
         assert trace.size >= 3 and trace.size % 2 == 1
         assert np.all(np.diff(trace) <= 1e-6)
 
-    def test_returns_factors_of_lowest_traced_entry(self):
+    @staticmethod
+    def _scored(monkeypatch):
+        """Record the factors, warm start and value of every traced entry."""
+        entries, real = [], wcf._primal_objective
+
+        def recording(D, lam, P_mat, kernel, G0=None):
+            value = real(D, lam, P_mat, kernel, G0)
+            entries.append((D, lam, G0, value))
+            return value
+
+        monkeypatch.setattr(wcf, "_primal_objective", recording)
+        return entries
+
+    def test_returns_factors_of_lowest_traced_entry(self, monkeypatch):
+        entries = self._scored(monkeypatch)
         rng = np.random.default_rng(13)
         n, s, m, k = 3, 5, 8, 2
         M = rng.uniform(size=(n, s))
         P = [rng.dirichlet(np.ones(n)) for _ in range(m)]
         model = train_wcf(P, M, k=k, gamma=0.05)
-        value = wcf._primal_objective(model.dictionary, model.loadings, np.stack(P, axis=1),
-                                      GibbsKernel(M, 0.05))
-        assert value == pytest.approx(min(model.objective_trace), rel=1e-12)
+        assert [value for *_, value in entries] == list(model.objective_trace)
+        D, lam, _, _ = min(entries, key=lambda entry: entry[-1])
+        assert np.array_equal(model.dictionary, D)
+        assert np.array_equal(model.loadings, lam)
+
+    @pytest.mark.parametrize("seed, n, s, m, k", [
+        # this instance's dictionary solves stop at their pass budget,
+        # which the two tests above already fail on under -W error; here
+        # only the trace's values are checked
+        pytest.param(13, 3, 5, 8, 2, id="rank-2", marks=pytest.mark.filterwarnings(
+            "ignore:dictionary dual solve stopped:UserWarning")),
+        pytest.param(7, 6, 5, 10, 5, id="k-equals-s"),
+    ])
+    def test_trace_matches_converged_reference(self, monkeypatch, seed, n, s, m, k):
+        # every entry after the first starts its Sinkhorn from the
+        # half-step's potentials and still lands on the cold solve's value
+        entries = self._scored(monkeypatch)
+        rng = np.random.default_rng(seed)
+        M = rng.uniform(size=(n, s))
+        P = np.stack([rng.dirichlet(np.ones(n)) for _ in range(m)], axis=1)
+        kernel = GibbsKernel(M, 0.05)
+        model = train_wcf(P.T, M, k=k, gamma=0.05)
+        assert entries[0][2] is None
+        assert all(G0 is not None for _, _, G0, _ in entries[1:])
+        for (D, lam, _, _), value in zip(entries, model.objective_trace):
+            reference, _, _ = batch_sinkhorn(P, wcf._clean_histogram(D @ lam), kernel, tol=1e-11)
+            assert value == pytest.approx(reference.sum(), rel=1e-6)
 
     def test_user_and_item_ids_attached(self):
         rng = np.random.default_rng(2)
@@ -692,7 +731,8 @@ class TestInnerSolve:
     def test_wrong_shape_warm_start_rejected(self, step):
         P, kernel, D, lam = self._problem()
         factor = D if step == "lambda_step" else lam
-        with pytest.raises(ValueError, match="warm-start potentials have shape"):
+        with pytest.raises(ValueError, match=r"warm-start potentials have shape \(6, %d\), "
+                                             r"expected \(6, %d\)$" % (len(P) + 1, len(P))):
             getattr(wcf, step)(factor, P, kernel, np.zeros((6, len(P) + 1)))
 
     def test_converged_solves_warn_nothing(self):
