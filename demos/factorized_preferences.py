@@ -35,7 +35,7 @@ for u in range(m):
 
 model = train_wcf(P, M, k=2, gamma=0.05)
 trace = np.array(model.objective_trace)
-print("outer iterations:", (trace.size - 1) // 2)
+print("outer iterations:", trace.size // 2)
 print("objective trace head:", trace[:4])
 print("objective trace tail:", trace[-3:])
 print("max increase along trace: %.2e" % np.diff(trace).max())

@@ -219,7 +219,7 @@ def cmd_train(args) -> int:
             save_model(model, run_dir / "model")
             trace = model.objective_trace
             print("fold %d: objective %.6g -> %.6g over %d half-steps"
-                  % (split.fold, trace[0], trace[-1], len(trace) - 1))
+                  % (split.fold, trace[0], trace[-1], len(trace)))
             Q = _clean_histogram(model.dictionary @ model.loadings)
 
         # one block per user, ascending: every cold item by rank, best first

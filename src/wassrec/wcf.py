@@ -100,10 +100,10 @@ class FactorModel:
             raise ValueError("gamma must be positive and finite, got %r" % (self.gamma,))
         items = tuple(int(i) for i in self.item_ids)
         users = tuple(int(u) for u in self.user_ids)
-        if len(items) != D.shape[0]:
-            raise ValueError("item_ids must name the %d dictionary rows" % D.shape[0])
-        if len(users) != L.shape[1]:
-            raise ValueError("user_ids must name the %d loading columns" % L.shape[1])
+        if len(items) != D.shape[0] or len(set(items)) != len(items):
+            raise ValueError("item_ids must name the %d dictionary rows, each once" % D.shape[0])
+        if len(users) != L.shape[1] or len(set(users)) != len(users):
+            raise ValueError("user_ids must name the %d loading columns, each once" % L.shape[1])
         object.__setattr__(self, "dictionary", D)
         object.__setattr__(self, "loadings", L)
         object.__setattr__(self, "gamma", float(self.gamma))
@@ -240,11 +240,11 @@ def _pgd(P, G0, kernel, entropies, project, groups, block):
     return G, grads
 
 
-def _primal_objective(D, lam, P_mat, kernel, G0=None):
+def _primal_objective(D, lam, P_mat, kernel, G0):
     """sum_u W_gamma(p_u, D lambda_u) by one batched Sinkhorn solve.
 
-    ``G0`` (s x m) starts the solve's column potentials, zero when None;
-    a block solve's final potentials are nearly the solution's.
+    ``G0`` (s x m) starts the column potentials at those of the block
+    solve that produced the factors, which are nearly the solution's.
     """
     values, _, _ = batch_sinkhorn(P_mat, _clean_histogram(D @ lam), kernel,
                                   tol=_OBJECTIVE_TOL, max_iter=_OBJECTIVE_MAX_ITER, G0=G0)
@@ -331,14 +331,14 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
     as converged, ``max_outer`` caps the outer passes, and ``seed``
     draws the initial dictionary.  Each half-step's dual potentials
     warm-start the next one, projected onto its constraint set.  The
-    objective trace holds the primal Sinkhorn value of the initial
-    factors and of the factors after every half-step; each half-step's
-    Sinkhorn starts from that half-step's potentials, which balance
-    its users' pairs up to the block solve's tolerance, and the initial
-    one from zero.  If a factor goes rank deficient both are redrawn
-    (a bounded number of times), the potentials restart at zero and
-    the trace carries on.  Returns the model with the lowest traced
-    objective.
+    objective trace holds the primal Sinkhorn value of the factors after
+    every half-step, two entries per outer pass; each Sinkhorn starts
+    from that half-step's potentials, which balance its users' pairs up
+    to the block solve's tolerance.  Convergence compares the ends of
+    consecutive outer passes.  If a factor goes rank deficient both are
+    redrawn (a bounded number of times), the potentials restart at zero
+    and the trace carries on.  Returns the trained factors with the
+    lowest traced objective.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
@@ -349,8 +349,8 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
     m, s = P_mat.shape[1], kernel.shape[1]
     user_ids = tuple(range(m) if user_ids is None else user_ids)
     item_ids = tuple(range(s) if item_ids is None else item_ids)
-    if len(user_ids) != m:
-        raise ValueError("user_ids must name the %d histograms" % m)
+    if len(user_ids) != m or len(set(user_ids)) != m:
+        raise ValueError("user_ids must name the %d histograms, each once" % m)
     if len(item_ids) != s or len(set(item_ids)) != s:
         raise ValueError("item_ids must name the %d cost columns, each once" % s)
 
@@ -363,9 +363,7 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
             best = (trace[-1], D, lam)
 
     D, lam = init_factors(s, m, k, seed=seed)
-    G = None
-    score(D, lam, G)
-    prev = trace[0]
+    G = prev = None
     redraws = 0
     outer = 0
     rng = np.random.default_rng(seed + 1)
@@ -384,7 +382,7 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
             G = None
             continue
         score(D, lam, G)
-        if abs(trace[-1] - prev) <= tol * max(1.0, abs(prev)):
+        if prev is not None and abs(trace[-1] - prev) <= tol * max(1.0, abs(prev)):
             break
         prev = trace[-1]
         outer += 1

@@ -320,9 +320,10 @@ class TestTrain:
         assert orders[0] == orders[1]
 
     def test_wcf_trace_of_a_peaked_pair_finishes(self, tmp_path):
-        # seed 1's initial factors leave one user a 2 x 2 transport
-        # support that plain Sinkhorn cannot close in the trace's
-        # 100,000 iterations (exit 3); the Newton finish closes it
+        # pins that the seed-1 run over two folds trains and exits 0.
+        # Its random draw leaves one user a peaked 2 x 2 transport
+        # support that the trace does not score, so no solve here
+        # reaches the Newton finish; test_transport.py pins that finish
         out = tmp_path / "o"
         assert main(["prepare", "--ratings", RATINGS, "--genome", GENOME,
                      "--out", str(out)]) == 0

@@ -179,7 +179,7 @@ class TestLambdaStep:
             np.stack(P, axis=1), G, kernel,
             np.array([entropy(p) for p in P]), need_grad=False,
         )
-        primal = wcf._primal_objective(D, lam, np.stack(P, axis=1), kernel)
+        primal = wcf._primal_objective(D, lam, np.stack(P, axis=1), kernel, G)
         assert primal == pytest.approx(float(-vals.sum()), abs=1e-6)
 
 
@@ -304,7 +304,7 @@ class TestTrainWcf:
         P = [rng.dirichlet(np.ones(n)) for _ in range(m)]
         model = train_wcf(P, M, k=k, gamma=0.05)
         trace = np.array(model.objective_trace)
-        assert trace.size >= 3 and trace.size % 2 == 1
+        assert trace.size >= 2 and trace.size % 2 == 0
         assert np.all(np.diff(trace) <= 1e-6)
 
     @staticmethod
@@ -312,7 +312,7 @@ class TestTrainWcf:
         """Record the factors, warm start and value of every traced entry."""
         entries, real = [], wcf._primal_objective
 
-        def recording(D, lam, P_mat, kernel, G0=None):
+        def recording(D, lam, P_mat, kernel, G0):
             value = real(D, lam, P_mat, kernel, G0)
             entries.append((D, lam, G0, value))
             return value
@@ -341,19 +341,49 @@ class TestTrainWcf:
         pytest.param(7, 6, 5, 10, 5, id="k-equals-s"),
     ])
     def test_trace_matches_converged_reference(self, monkeypatch, seed, n, s, m, k):
-        # every entry after the first starts its Sinkhorn from the
-        # half-step's potentials and still lands on the cold solve's value
+        # every entry starts its Sinkhorn from the half-step's
+        # potentials and still lands on the cold solve's value
         entries = self._scored(monkeypatch)
         rng = np.random.default_rng(seed)
         M = rng.uniform(size=(n, s))
         P = np.stack([rng.dirichlet(np.ones(n)) for _ in range(m)], axis=1)
         kernel = GibbsKernel(M, 0.05)
         model = train_wcf(P.T, M, k=k, gamma=0.05)
-        assert entries[0][2] is None
-        assert all(G0 is not None for _, _, G0, _ in entries[1:])
+        assert all(G0 is not None for _, _, G0, _ in entries)
         for (D, lam, _, _), value in zip(entries, model.objective_trace):
             reference, _, _ = batch_sinkhorn(P, wcf._clean_histogram(D @ lam), kernel, tol=1e-11)
             assert value == pytest.approx(reference.sum(), rel=1e-6)
+
+    @pytest.mark.parametrize("deficient_draws", [0, 1], ids=["first-draw", "after-redraw"])
+    def test_one_outer_pass_traces_two_trained_entries(self, monkeypatch, deficient_draws):
+        # the trace starts after the first lambda_step: no entry scores
+        # a random draw, and each starts from its half-step's potentials
+        entries = self._scored(monkeypatch)
+        draws, real_init = [], wcf.init_factors
+
+        def drawing(s, m, k, seed=0):
+            D, lam = real_init(s, m, k, seed=seed)
+            if len(draws) < deficient_draws:
+                D = D.copy()
+                D[:, -1] = D[:, 0]  # duplicate column: rank deficient
+            draws.append((D, lam))
+            return D, lam
+
+        monkeypatch.setattr(wcf, "init_factors", drawing)
+        rng = np.random.default_rng(7)
+        n, s, m, k = 6, 5, 10, 5
+        M = rng.uniform(size=(n, s))
+        P = [rng.dirichlet(np.ones(n)) for _ in range(m)]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            model = train_wcf(P, M, k=k, gamma=0.05, max_outer=1)
+        assert len(draws) == deficient_draws + 1
+        assert len([w for w in record if "redrawing" in str(w.message)]) == deficient_draws
+        assert len(model.objective_trace) == len(entries) == 2
+        for D, lam, G0, _ in entries:
+            assert G0 is not None
+            assert not any(np.array_equal(D, D0) and np.array_equal(lam, lam0)
+                           for D0, lam0 in draws)
 
     def test_user_and_item_ids_attached(self):
         rng = np.random.default_rng(2)
@@ -412,6 +442,9 @@ class TestTrainWcf:
             train_wcf(P, M, k=2, gamma=0.05)  # k > min(s, m)
         with pytest.raises(ValueError):
             train_wcf(P, M, k=1, gamma=0.05, user_ids=(1, 2))
+        P2 = [np.array([0.5, 0.5]), np.array([0.25, 0.75])]
+        with pytest.raises(ValueError, match="user_ids must name the 2 histograms, each once"):
+            train_wcf(P2, M, k=1, gamma=0.05, user_ids=(7, 7))
         with pytest.raises(ValueError, match="item_ids must name the 3 cost columns"):
             train_wcf(P, M, k=1, gamma=0.05, item_ids=(4, 5))
         with pytest.raises(ValueError, match="item_ids must name the 3 cost columns"):
@@ -496,11 +529,15 @@ class TestPredictAndPersistence:
          "manifest k 3 does not match dictionary"),
         ("manifest.json", lambda text: text.replace("    11,\n", "", 1),
          "item_ids must name the 3 dictionary rows"),
+        ("manifest.json", lambda text: text.replace("    12,\n", "    11,\n", 1),
+         "item_ids must name the 3 dictionary rows, each once"),
+        ("manifest.json", lambda text: text.replace("    1,\n    2\n", "    1,\n    1\n", 1),
+         "user_ids must name the 2 loading columns, each once"),
         ("dictionary.tsv", lambda text: "nan" + text[text.index("\t"):],
          "factors must be finite"),
         ("loadings.tsv", lambda text: text[:text.index("\n") + 1],
          re.escape("dictionary (3, 2) and loadings (1, 2) are incompatible")),
-    ], ids=["k", "item-ids", "nan", "shape"])
+    ], ids=["k", "item-ids", "duplicate-item-ids", "duplicate-user-ids", "nan", "shape"])
     def test_load_rejects_tampered_directory(self, tmp_path, name, edit, message):
         save_model(self._model(), tmp_path / "m")
         target = tmp_path / "m" / name
