@@ -12,14 +12,21 @@ subspace constraint on the potentials:
 * dictionary block: jointly over users, minimize sum_u H*_{p_u}(g_u)
   subject to G Lambda^T = 0, then recover D the same way.
 
-Both blocks are solved by one projected Newton descent with Armijo
-backtracking over column groups: each user is a group of its own in
-the loadings block, all users form one group in the dictionary block,
-and every group keeps its own step and convergence test.  The step is
-the gradient projected onto the constraint subspace in the metric of
-the conjugate's Hessian diagonal, about q / gamma at the current
-histogram q, which varies by orders of magnitude across items; a plain
-gradient step ignores that scaling and stalls.  The orthogonally
+Both blocks are solved by one projected Newton descent with a line
+search over column groups: each user is a group of its own in the
+loadings block, all users form one group in the dictionary block, and
+every group keeps its own step length and convergence test.  The
+direction is the gradient projected onto the constraint subspace in the
+metric of the conjugate's Hessian diagonal, about q / gamma at the
+current histogram q, which varies by orders of magnitude across items;
+a plain gradient step ignores that scaling and stalls.  That diagonal
+overstates the curvature along the direction, so a unit step falls
+short: every trial's gradient gives the line's derivative there, the
+secant between it and the derivative at zero locates the best step,
+and the group's next pass starts at that length.  A rejected trial
+backtracks to the same secant estimate, and where the trial's value
+agrees with the base to rounding, the derivatives decide acceptance
+(the approximate Wolfe test of Hager & Zhang 2005).  The orthogonally
 projected gradient still decides convergence: its norm is exactly the
 distance between the current conjugate-gradient histogram and the
 span it must land in, which is what makes the early-stopping
@@ -48,16 +55,25 @@ __all__ = [
 ]
 
 # inner dual solves stop once every group's projected gradient norm is
-# under _INNER_TOL, or with a warning after _MAX_INNER passes; Armijo
-# steps start at _STEP_INIT each pass and shrink by _STEP_SHRINK until
-# the sufficient-decrease test with slope fraction _ARMIJO_C passes
+# under _INNER_TOL, or with a warning after _MAX_INNER passes.  A group's
+# first pass tries the step _STEP_INIT; each later pass starts at the
+# secant minimizer its last accepted trial measured, clipped to
+# _START_RANGE, and a rejected trial backtracks to its own secant
+# minimizer clipped to _BACKTRACK_RANGE times the rejected step, until
+# the sufficient-decrease test with slope fraction _ARMIJO_C passes (or,
+# for a value equal to the base to rounding, its approximate Wolfe form)
 _INNER_TOL = 1e-7
 _MAX_INNER = 500
 # the step's metric is the conjugate's Hessian diagonal, about q / gamma
 # at the current histogram q; the floor keeps items q leaves empty in it
 _CURVATURE_FLOOR = 1e-6
 _STEP_INIT = 1.0
-_STEP_SHRINK = 0.5
+_START_RANGE = (0.5, 4.0)
+_BACKTRACK_RANGE = (0.1, 0.5)
+# a group's summed conjugate value is good to a few eps of the summed
+# magnitudes of its columns' values (measured by the shift covariance
+# H*(g + c) = H*(g) + c); this window separates rounding from a rise
+_VALUE_ROUNDING = 64 * np.finfo(np.float64).eps
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-14
 _STALL_FACTOR = 1e3
@@ -175,17 +191,27 @@ def _pgd(P, G0, kernel, entropies, project, groups, block):
     """Projected Newton descent on the summed conjugate, group by group.
 
     Column u belongs to group ``groups[u]``; each group sums its
-    columns' conjugate values, has its own Armijo step and stops on its
-    own projected gradient norm.  The step is the gradient projected in
-    the metric of the conjugate's Hessian diagonal, (q + floor) / gamma
-    at the current histograms q (a diagonally scaled projected Newton
-    step, Bertsekas 1982), so t = 1 is the natural first trial; the
-    Armijo slope is each group's inner product of the step with the
-    projected gradient.  Candidates come with their gradients, so an
-    accepted step is evaluated once.  A group whose line search stalls
-    at a negligible projected gradient is frozen for the rest of the
-    solve, a stall far from optimality is an error, and groups open
-    after _MAX_INNER passes are named in a warning about ``block``.
+    columns' conjugate values, has its own step length and stops on
+    its own projected gradient norm.  The direction is the gradient
+    projected in the metric of the conjugate's Hessian diagonal,
+    (q + floor) / gamma at the current histograms q (a diagonally scaled
+    projected Newton step, Bertsekas 1982), and the slope is each
+    group's inner product of it with the projected gradient.
+    Candidates come with their gradients, so an accepted step is
+    evaluated once, and the same gradients give the line's derivative
+    at the trial; its secant with the slope locates the line's minimum.
+    The first pass tries t = 1, and each later pass starts at the
+    minimum the group's last accepted trial measured (the diagonal
+    metric overstates curvature, so that length is usually above 1); a
+    rejected trial backtracks to the secant estimate, kept between a
+    tenth and a half of the rejected step.  A trial passes the Armijo
+    test or, when its value agrees with the base to rounding, the
+    approximate Wolfe test (Hager & Zhang 2005) on the derivatives; a
+    trial whose value rose beyond rounding never passes.  A group whose
+    line search stalls at a negligible projected gradient is frozen for
+    the rest of the solve, a stall far from optimality is an error, and
+    groups open after _MAX_INNER passes are named in a warning about
+    ``block``.
     ``G0`` warm-starts the potentials; None starts them at zero.
     """
     shape = (kernel.shape[1], P.shape[1])
@@ -196,6 +222,7 @@ def _pgd(P, G0, kernel, entropies, project, groups, block):
                          % (np.shape(G0), shape))
     n_groups = int(groups.max()) + 1
     frozen = np.zeros(n_groups, dtype=bool)
+    t_start = np.full(n_groups, _STEP_INIT)
     G = project(np.array(G0, dtype=np.float64))
     vals, grads = batch_conjugate(P, G, kernel, entropies, True)
     for passes in range(_MAX_INNER + 1):
@@ -212,21 +239,33 @@ def _pgd(P, G0, kernel, entropies, project, groups, block):
         step = project(grads, (grads + _CURVATURE_FLOOR) / kernel.gamma)
         slope = np.bincount(groups, (PG * step).sum(axis=0), n_groups)
         base = np.bincount(groups, vals, n_groups)
-        t = np.full(n_groups, _STEP_INIT)
+        rounding = _VALUE_ROUNDING * np.bincount(groups, np.abs(vals), n_groups)
+        t = t_start.copy()
         while pending.any():
             sel = pending[groups]
             # views, not copies, while every column is pending
             cols = slice(None) if sel.all() else np.flatnonzero(sel)
             cand = G[:, cols] - t[groups[cols]] * step[:, cols]
             cvals, cgrads = batch_conjugate(P[:, cols], cand, kernel, entropies[cols], True)
-            ok = pending & (np.bincount(groups[cols], cvals, n_groups)
-                            <= base - _ARMIJO_C * t * slope)
+            value = np.bincount(groups[cols], cvals, n_groups)
+            # along the line the derivative is -slope at 0 and -d1 at t
+            d1 = np.bincount(groups[cols], (cgrads * step[:, cols]).sum(axis=0), n_groups)
+            # where the values agree to rounding, the trapezoid estimate
+            # t (slope + d1) / 2 of the decrease stands in for them
+            ok = pending & ((value <= base - _ARMIJO_C * t * slope)
+                            | ((np.abs(value - base) <= rounding)
+                               & (slope + d1 >= 2 * _ARMIJO_C * slope)))
+            # the secant through both derivatives is zero at ratio * t; a
+            # line that looks flat or concave gets the largest allowed step
+            denom = slope - d1
+            ratio = np.divide(slope, denom, out=np.full(n_groups, np.inf), where=denom > 0)
+            t_start[ok] = np.clip(ratio[ok] * t[ok], *_START_RANGE)
             take = ok[groups[cols]]
             G[:, cols] = np.where(take, cand, G[:, cols])
             vals[cols] = np.where(take, cvals, vals[cols])
             grads[:, cols] = np.where(take, cgrads, grads[:, cols])
             pending &= ~ok
-            t[pending] *= _STEP_SHRINK
+            t[pending] *= np.clip(ratio[pending], *_BACKTRACK_RANGE)
             stuck = pending & (t < _MIN_STEP)
             if stuck.any():
                 worst = float(np.sqrt(n2[stuck].max()))

@@ -619,6 +619,41 @@ class TestLineSearchStall:
         with pytest.raises(SolverError, match="no decrease for 1 group"):
             d_step(lam, P, kernel)
 
+    @pytest.mark.parametrize("rise, trial_grads, accepted", [
+        # equal to rounding and descending at the trial: the approximate
+        # Wolfe test accepts what the value test cannot resolve
+        (0.5, "start", True),
+        # equal to rounding but the trapezoid estimate shows no decrease
+        (0.5, "reversed", False),
+        # a rise beyond rounding is never accepted, whatever the slope
+        (10.0, "start", False),
+        (10.0, "zero", False),
+    ])
+    def test_values_equal_to_rounding_defer_to_derivatives(self, monkeypatch, rise,
+                                                           trial_grads, accepted):
+        P, kernel, D, _ = self._problem()
+        real, start = wcf.batch_conjugate, []
+
+        def flat(P, G, kernel, entropies, need_grad=True):
+            values, grads = real(P, G, kernel, entropies, need_grad)
+            if not start:  # every later call is a candidate
+                start.append((values, grads))
+                return values, grads
+            base, base_grads = start[0]
+            cgrads = {"start": base_grads, "reversed": -base_grads,
+                      "zero": np.zeros_like(grads)}[trial_grads]
+            return base + rise * wcf._VALUE_ROUNDING * np.abs(base), cgrads
+
+        monkeypatch.setattr(wcf, "batch_conjugate", flat)
+        monkeypatch.setattr(wcf, "_MAX_INNER", 1)
+        if accepted:
+            with pytest.warns(UserWarning, match="loadings dual solve stopped after 1 pass"):
+                _, G = lambda_step(D, P, kernel)
+            assert np.all(np.abs(G).max(axis=0) > 0)  # every user took its first trial
+        else:
+            with pytest.raises(SolverError, match="no decrease for 5 group"):
+                lambda_step(D, P, kernel)
+
     def test_negligible_stall_freezes_each_user_once(self, monkeypatch):
         P, kernel, D, _ = self._problem()
         # projected gradient norms at the zero start, one per user
@@ -632,11 +667,14 @@ class TestLineSearchStall:
         evaluated = self._no_decrease(monkeypatch)
 
         lam, G = lambda_step(D, P, kernel)
-        # one failed search: evaluations at t = 1, 1/2, ... down to the
-        # smallest step, all users in each batch, and never again
+        # one failed search, all users in each batch, and never again;
+        # the stub keeps every trial's true gradient, which still shows
+        # descent there, so each secant estimate lies past the trial and
+        # the backtrack takes its largest cut: t = 1, 1/2, ... down to
+        # the smallest step
         steps, t = 0, wcf._STEP_INIT
         while t >= wcf._MIN_STEP:
-            steps, t = steps + 1, t * wcf._STEP_SHRINK
+            steps, t = steps + 1, t * wcf._BACKTRACK_RANGE[1]
         assert evaluated == [len(P)] * steps
         np.testing.assert_allclose(G, 0.0, atol=1e-15)
         assert np.all(np.isfinite(lam))
@@ -660,14 +698,14 @@ class TestInnerSolve:
         return sizes
 
     def test_accepted_steps_are_not_evaluated_twice(self, monkeypatch):
-        # at gamma 0.5 every user of this problem accepts t = 1 on every
-        # pass (the solve converges at pass 7): one evaluation at the
-        # start, then one per pass, each carrying its gradients into the
-        # next pass (a rejected step would add a call for the users
-        # still searching)
+        # at gamma 0.5 every user of this problem accepts its first trial
+        # on every pass (the solve converges after pass 5): one
+        # evaluation at the start, then one per pass, each carrying its
+        # gradients into the next pass (a rejected step would add a call
+        # for the users still searching)
         P, kernel, D, _ = self._problem()
         kernel = GibbsKernel(kernel.cost, 0.5)
-        passes = 5
+        passes = 4
         monkeypatch.setattr(wcf, "_MAX_INNER", passes)
         sizes = self._count_calls(monkeypatch)
         with pytest.warns(UserWarning, match="loadings dual solve"):
@@ -677,7 +715,8 @@ class TestInnerSolve:
     def test_scaled_steps_converge_at_small_gamma(self, monkeypatch):
         # plain gradient steps need 1,129 evaluations here and still stop
         # at the loadings budget; steps in the Hessian-diagonal metric
-        # converge both blocks
+        # converge both blocks, in 112 evaluations when every pass starts
+        # at t = 1 and in 46 when it starts at the last secant estimate
         P, kernel, D, lam = self._problem()
         kernel = GibbsKernel(kernel.cost, 0.05)
         sizes = self._count_calls(monkeypatch)
@@ -685,7 +724,41 @@ class TestInnerSolve:
             warnings.simplefilter("error")
             lambda_step(D, P, kernel)
             d_step(lam, P, kernel)
-        assert len(sizes) <= 150
+        assert len(sizes) <= 60
+
+    def test_pass_starts_at_last_secant_estimate(self, monkeypatch):
+        # at gamma 0.5 every first trial is accepted, so call 1 is pass
+        # 1's trial at t = 1 and call 2 is pass 2's first trial, which
+        # must sit at the secant minimizer pass 1 measured, clipped
+        P, kernel, D, _ = self._problem()
+        kernel = GibbsKernel(kernel.cost, 0.5)
+        real, calls = wcf.batch_conjugate, []
+
+        def capturing(P, G, kernel, entropies, need_grad=True):
+            values, grads = real(P, G, kernel, entropies, need_grad)
+            calls.append((G.copy(), grads.copy()))  # the solve writes into grads
+            return values, grads
+
+        monkeypatch.setattr(wcf, "batch_conjugate", capturing)
+        monkeypatch.setattr(wcf, "_MAX_INNER", 2)
+        with pytest.warns(UserWarning, match="loadings dual solve stopped after 2 passes"):
+            lambda_step(D, P, kernel)
+        assert len(calls) == 3
+        Q, _ = np.linalg.qr(D)
+
+        def direction(grads):
+            return weighted_projection(grads, (grads + wcf._CURVATURE_FLOOR) / kernel.gamma, D)
+
+        (G0, grads0), (cand1, grads1), (cand2, _) = calls
+        step1, step2 = direction(grads0), direction(grads1)
+        np.testing.assert_allclose(cand1, G0 - step1, atol=1e-12)
+        slope = ((grads0 - Q @ (Q.T @ grads0)) * step1).sum(axis=0)
+        d1 = (grads1 * step1).sum(axis=0)
+        tau = np.clip(slope / (slope - d1), *wcf._START_RANGE)
+        assert np.abs(tau - 1.0).max() > 0.1  # a unit start would fail below
+        G1 = cand1 - Q @ (Q.T @ cand1)
+        t2 = ((G1 - cand2) * step2).sum(axis=0) / (step2 * step2).sum(axis=0)
+        np.testing.assert_allclose(t2, tau, rtol=1e-8)
 
     @staticmethod
     def _projectors(monkeypatch):
