@@ -29,7 +29,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +55,10 @@ __all__ = ["main", "app", "build_parser"]
 OUT_ENV = "WASSREC_OUT"
 DEFAULT_OUT = "wassrec-out"
 PREDICTION_HEADER = "user\trank\titem\tscore"
-WRITE_BLOCK = 1 << 10  # rows formatted per write; larger blocks raise train's peak RSS
+# rows per write: _write_table formats a plain column, and gathers every
+# column, this many rows at a time; formatting a whole column at once
+# would hold one text per row (about 20 MB for 200k 17-digit floats)
+WRITE_BLOCK = 1 << 10
 
 
 def _finite(kind, low=0):
@@ -135,13 +137,16 @@ def cmd_prepare(args) -> int:
     table, genome = filter_catalog(table, genome)
 
     order = np.lexsort((table.timestamps, table.item_ids, table.user_ids))
-    _write_table(prepared / "interactions.tsv", "", "%d\t%d\t%.17g\t%d\n",
-                 *(col[order] for col in (table.user_ids, table.item_ids,
-                                          table.ratings, table.timestamps)))
+    _write_table(prepared / "interactions.tsv", "", ("%d\t", "%d\t", "%.17g\t", "%d\n"),
+                 *(_distinct(col[order]) for col in (table.user_ids, table.item_ids,
+                                                     table.ratings)),
+                 table.timestamps[order])
     # %r of a float is its shortest text that reads back to the same value
-    _write_table(prepared / "genome.csv", "movieId,tagId,relevance\n", "%d,%d,%r\n",
-                 np.repeat(genome.item_ids, genome.tag_ids.size),
-                 np.tile(genome.tag_ids, genome.item_ids.size), genome.relevance.ravel())
+    items, tags = genome.item_ids.size, genome.tag_ids.size
+    _write_table(prepared / "genome.csv", "movieId,tagId,relevance\n", ("%d,", "%d,", "%r\n"),
+                 (genome.item_ids, np.repeat(np.arange(items), tags)),
+                 (genome.tag_ids, np.tile(np.arange(tags), items)),
+                 _distinct(genome.relevance))
 
     n_users = int(table.users.size)
     n_items = int(table.items.size)
@@ -175,13 +180,47 @@ def _fold_histograms(split):
     return users.tolist(), H.T
 
 
-def _write_table(path, header, fmt, *columns) -> None:
-    """Write ``header``, then aligned columns as lines of ``fmt``, one % per WRITE_BLOCK rows."""
+def _distinct(values):
+    """``values`` as a ``(distinct values, index)`` column of ``_write_table``.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own
+    texts (``np.unique`` of the floats would merge them).
+    """
+    values = np.ravel(values)
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return bits.view(values.dtype), index
+
+
+def _write_table(path, header, fields, *columns) -> None:
+    """Write ``header``, then one line per row of the aligned ``columns``.
+
+    ``fields[j]`` is column j's ``%`` field followed by its separator or
+    newline, so a line is its row's field texts joined.  A column is
+    either a plain array, formatted one value at a time for each block
+    of WRITE_BLOCK rows, or a pair ``(values, index)``: each of
+    ``values`` is formatted once, and row r shows the text of
+    ``values[index[r]]``.  A pair holds one text per distinct value for
+    the whole write, so it saves time and memory on a column that
+    repeats few values, and costs memory in proportion to ``values`` on
+    one that does not.  Each block is gathered into an object array and
+    written with one ``"".join``.
+    """
+    pairs = [col if isinstance(col, tuple) else (None, col) for col in columns]
+    texts = [None if values is None else
+             np.array([field % v for v in np.asarray(values).tolist()], dtype=object)
+             for field, (values, _) in zip(fields, pairs)]
+    rows = [index for _, index in pairs]
+    cells = np.empty((WRITE_BLOCK, len(columns)), dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
-        for start in range(0, len(columns[0]), WRITE_BLOCK):
-            rows = list(zip(*(col[start:start + WRITE_BLOCK].tolist() for col in columns)))
-            fh.write(fmt * len(rows) % tuple(chain.from_iterable(rows)))
+        for start in range(0, len(rows[0]), WRITE_BLOCK):
+            block = [col[start:start + WRITE_BLOCK] for col in rows]
+            k = len(block[0])
+            for j, (field, text, col) in enumerate(zip(fields, texts, block)):
+                cells[:k, j] = (text[col] if text is not None else
+                                np.fromiter(map(field.__mod__, col.tolist()), dtype=object,
+                                            count=k))
+            fh.write("".join(cells[:k].ravel().tolist()))
 
 
 def cmd_train(args) -> int:
@@ -224,10 +263,12 @@ def cmd_train(args) -> int:
 
         # one block per user, ascending: every cold item by rank, best first
         order = rank_order(Q, split.cold_items)
+        m = len(users)
         _write_table(run_dir / "predictions.tsv", PREDICTION_HEADER + "\n",
-                     "%d\t%d\t%d\t%.17g\n", np.repeat(users, s),
-                     np.tile(np.arange(1, s + 1), len(users)),
-                     np.asarray(split.cold_items)[order.T].ravel(),
+                     ("%d\t", "%d\t", "%d\t", "%.17g\n"),
+                     (users, np.repeat(np.arange(m), s)),
+                     (np.arange(1, s + 1), np.tile(np.arange(s), m)),
+                     (split.cold_items, order.T.ravel()),
                      np.take_along_axis(Q, order, axis=0).T.ravel())
         print("fold %d: wrote %d rankings -> %s"
               % (split.fold, len(users), run_dir / "predictions.tsv"))
@@ -258,7 +299,10 @@ def _read_predictions(path, cold):
                 ("user", np.int64), ("rank", np.int64), ("item", np.int64), ("score", float)])
         except ValueError as err:
             raise DataError("%s: malformed row: %s" % (path, err)) from None
-    rows = rows[np.lexsort((rows["rank"], rows["user"]))]
+    user, rank = rows["user"], rows["rank"]
+    # train writes (user, rank) order; sort only a file that is out of it
+    if np.any((user[1:] < user[:-1]) | ((user[1:] == user[:-1]) & (rank[1:] < rank[:-1]))):
+        rows = rows[np.lexsort((rank, user))]
     users, first, counts = np.unique(rows["user"], return_index=True, return_counts=True)
     gaps = rows["rank"] != np.arange(rows.size) - np.repeat(first, counts) + 1
     if gaps.any():

@@ -3,17 +3,19 @@
 Everything here is deliberately independent of the library's solver
 internals: textbook scaling updates, dense simplex grids, exhaustive
 enumeration, ranking metrics as their formulas read, line-by-line file
-parsing.  Slow and simple on purpose, so that a bug in the library and a
+parsing, a table writer that formats every cell where it appears.  Slow and simple on purpose, so that a bug in the library and a
 bug in the oracle are unlikely to coincide.
 """
 
 import math
 import warnings
+from itertools import chain
 
 import numpy as np
 from scipy.special import logsumexp
 
 from wassrec import DataError
+from wassrec.cli import WRITE_BLOCK
 from wassrec.dataio import GenomeTable
 
 
@@ -205,6 +207,20 @@ def rank_by_key(q, ids):
     A plain key sort over (-score, id), one comparison at a time.
     """
     return sorted(range(len(ids)), key=lambda j: (-q[j], ids[j]))
+
+
+def write_table(path, header, fmt, *columns) -> None:
+    """The CLI's table writer as one ``%`` over whole lines.
+
+    Writes ``header``, then aligned plain columns as lines of ``fmt``,
+    one ``%`` per WRITE_BLOCK rows: every value is formatted where it
+    appears, repeated or not.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for start in range(0, len(columns[0]), WRITE_BLOCK):
+            rows = list(zip(*(col[start:start + WRITE_BLOCK].tolist() for col in columns)))
+            fh.write(fmt * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def load_genome_lines(path):

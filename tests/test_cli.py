@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from wassrec import (
 from wassrec.cli import main
 
 from conftest import FIXTURE_DIR, ROOT
-from oracles import oracle_ap, oracle_ndcg, oracle_recall
+from oracles import oracle_ap, oracle_ndcg, oracle_recall, write_table
 
 RATINGS = str(FIXTURE_DIR / "u.data")
 GENOME = str(FIXTURE_DIR / "genome.csv")
@@ -146,6 +147,32 @@ class TestPrepare:
         for pair, text in texts(prepared).items():
             if pair in given:
                 assert len(text) <= len(given[pair]), (pair, text, given[pair])
+
+    def test_signed_zero_keeps_its_text(self, tmp_path):
+        # -0.0 == 0.0, so relevance texts looked up by value would print
+        # one of them for both
+        lines = (FIXTURE_DIR / "genome.csv").read_text().splitlines()
+        lines[lines.index("2,40,0.0")] = "2,40,-0.0"
+        lines[lines.index("3,40,0.0")] = "3,40,0"
+        given = tmp_path / "genome.csv"
+        given.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="absent"):
+            assert main(["prepare", "--ratings", RATINGS, "--genome", str(given),
+                         "--out", str(out)]) == 0
+        prepared = out / "prepared" / "genome.csv"
+        rows = [line.split(",") for line in prepared.read_text().splitlines()[1:]]
+        # (1, 30) is the fixture's missing pair, filled with 0
+        assert {(m, t): r for m, t, r in rows if float(r) == 0} == {
+            ("1", "30"): "0.0", ("2", "40"): "-0.0", ("3", "40"): "0.0",
+            ("4", "10"): "0.0", ("5", "20"): "0.0"}
+        with pytest.warns(UserWarning, match="absent"):
+            source = load_genome(given)
+        genome = load_genome(prepared)
+        assert genome.item_ids.tobytes() == source.item_ids.tobytes()
+        assert genome.tag_ids.tobytes() == source.tag_ids.tobytes()
+        assert genome.relevance.tobytes() == source.relevance.tobytes()
+        assert np.signbit(genome.relevance).sum() == 1
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "o"
@@ -520,6 +547,28 @@ class TestReadPredictions:
                                             "cold items" % user):
             cli._read_predictions(path, [10, 20, 20])
 
+    def test_train_order_and_shuffled_rows_read_alike(self, pipeline_out, tmp_path):
+        lines = (pipeline_out / "runs" / "wf" / "fold0" / "predictions.tsv").read_text()
+        header, *rows = lines.splitlines()
+        cold = json.loads((pipeline_out / "splits" / "manifest.json").read_text())
+        cold = cold["folds"][0]["cold"]
+        shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+        assert shuffled != rows
+        users, ranked = cli._read_predictions(write_predictions(tmp_path / "a.tsv", rows), cold)
+        again = cli._read_predictions(write_predictions(tmp_path / "b.tsv", shuffled), cold)
+        assert users.tobytes() == again[0].tobytes()
+        assert ranked.tobytes() == again[1].tobytes()
+        assert ranked.shape == (users.size, len(cold)) and users.size > 1
+
+    @pytest.mark.parametrize("bad", ["1\t3\t20\t0.25", "1\t1\t20\t0.25"],
+                             ids=["rank-gap", "repeated-rank"])
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 2, 1, 0]], ids=["train", "reversed"])
+    def test_rank_errors_caught_in_either_row_order(self, tmp_path, bad, order):
+        rows = VALID_ROWS[:1] + [bad] + VALID_ROWS[2:]
+        path = write_predictions(tmp_path / "bad.tsv", [rows[i] for i in order])
+        with pytest.raises(DataError, match="user 1 has non-contiguous ranks"):
+            cli._read_predictions(path, [10, 20])
+
     def test_evaluate_exits_2_on_malformed_file(self, pipeline_out, tmp_path, capsys):
         out = tmp_path / "o"
         shutil.copytree(pipeline_out, out)
@@ -547,6 +596,49 @@ class TestReadPredictions:
         assert main(["evaluate", "--out", str(out), "--algorithm", "wf"]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "cold items" in err
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("rows", [0, 1, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK,
+                                      cli.WRITE_BLOCK + 1, 2 * cli.WRITE_BLOCK + 3])
+    def test_bytes_equal_the_one_format_writer(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        ints = rng.integers(2**62 - 2**20, 2**62, size=rows) * rng.choice([-1, 1], size=rows)
+        extremes = np.array([2**62, -2**62, 2**63 - 1, -2**63, 0])
+        at = rng.integers(extremes.size, size=rows)
+        # both zeros, the smallest subnormal, a huge value, 17-digit values
+        pool = np.concatenate([[-0.0, 0.0, 5e-324, 1e308, 0.1 + 0.2], rng.random(50) / 3])
+        repeated = rng.permutation(pool[np.arange(rows) % pool.size])
+        plain = np.where(rng.random(rows) < 0.5, repeated, rng.random(rows) / 3)
+        fields = ("%d\t", "%d\t", "%r\t", "%.17g\t", "%r,", "%.17g\n")
+        cli._write_table(tmp_path / "new.tsv", "h\n", fields, ints, (extremes, at), plain, plain,
+                         cli._distinct(repeated), cli._distinct(repeated))
+        write_table(tmp_path / "old.tsv", "h\n", "".join(fields), ints, extremes[at], plain,
+                    plain, repeated, repeated)
+        new = (tmp_path / "new.tsv").read_bytes()
+        assert new == (tmp_path / "old.tsv").read_bytes()
+        assert new.count(b"\n") == rows + 1
+        if rows > 2:
+            assert b"\t-0.0," in new and b"\t0.0," in new
+
+    def test_peak_memory_is_a_block_plus_the_distinct_texts(self, tmp_path):
+        # formatting the plain column whole would hold about 20 MB of texts
+        rows = 200_000
+        scores = np.random.default_rng(0).random(rows) / 3
+        users = (np.arange(1000), np.repeat(np.arange(1000), rows // 1000))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cli._write_table(tmp_path / "t.tsv", "", ("%d\t", "%.17g\n"), users, scores)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 3 * 2**20
+        assert (tmp_path / "t.tsv").stat().st_size > 20 * rows
 
 
 class TestOutResolution:
