@@ -67,7 +67,8 @@ def _finite(kind, low=0):
         try:
             value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError("%r is not a number" % text) from None
+            raise argparse.ArgumentTypeError("%r is not %s" % (
+                text, "an integer" if kind is int else "a number")) from None
         if not low < value < np.inf:
             raise argparse.ArgumentTypeError("must be a finite number above %s, got %r"
                                              % (low, text))
@@ -237,10 +238,10 @@ def cmd_train(args) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
 
         users, P = _fold_histograms(split)
-        dropped = sorted(set(int(u) for u in split.test.users) - set(users))
+        dropped = np.setdiff1d(split.test.user_ids, users).size
         if dropped:
             print("fold %d: skipping %d user(s) with no training interactions"
-                  % (split.fold, len(dropped)), file=sys.stderr)
+                  % (split.fold, dropped), file=sys.stderr)
 
         cost = build_cost_matrix(genome, split.interacted_items, split.cold_items)
         s, n = len(split.cold_items), len(split.interacted_items)

@@ -214,7 +214,7 @@ class GenomeTable:
         rel = np.asarray(self.relevance, dtype=np.float64)
         if rel.shape != (ids.size, tags.size):
             raise ValueError("relevance shape %s does not match %d items x %d tags"
-                             % ((rel.shape,), ids.size, tags.size))
+                             % (rel.shape, ids.size, tags.size))
         if np.any(np.diff(ids) <= 0) or np.any(np.diff(tags) <= 0):
             raise ValueError("item and tag ids must be strictly increasing")
         if np.any(rel < 0) or np.any(rel > 1) or not np.all(np.isfinite(rel)):
@@ -400,19 +400,14 @@ def cold_start_split(table: InteractionTable, ratio: str = "3:1",
             cold, interacted = subsets[f], rest
         else:
             interacted, cold = subsets[f], rest
-        train = table.restrict_items(interacted)
-        test = table.restrict_items(cold)
-        if len(train) == 0 or len(test) == 0:
-            raise DataError("fold %d of ratio %s has an empty train or test side"
-                            % (f, ratio))
         splits.append(ColdStartSplit(
             fold=f,
             seed=seed,
             ratio=ratio,
             interacted_items=tuple(int(i) for i in np.sort(interacted)),
             cold_items=tuple(int(i) for i in np.sort(cold)),
-            train=train,
-            test=test,
+            train=table.restrict_items(interacted),
+            test=table.restrict_items(cold),
         ))
     return splits
 

@@ -59,7 +59,7 @@ def simplex(weights, name: str = "weights") -> np.ndarray:
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1:
-        raise ValueError("%s must be a 1-D vector, got shape %s" % (name, (w.shape,)))
+        raise ValueError("%s must be a 1-D vector, got shape %s" % (name, w.shape))
     return _histograms(w[:, None], w.size, name)[0][:, 0]
 
 
@@ -162,7 +162,7 @@ def _check_pair(p, q, M):
     M, p, q = _as_cost(M), simplex(p, name="p"), simplex(q, name="q")
     if M.shape != (p.size, q.size):
         raise ValueError("cost shape %s does not match marginals (%d, %d)"
-                         % ((M.shape,), p.size, q.size))
+                         % (M.shape, p.size, q.size))
     return p, q, M
 
 
@@ -212,7 +212,7 @@ def _checked_columns(X, rows, name):
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != rows or X.shape[1] < 1:
-        raise ValueError("%s must have shape (%d, m >= 1), got %s" % (name, rows, (X.shape,)))
+        raise ValueError("%s must have shape (%d, m >= 1), got %s" % (name, rows, X.shape))
     total = X.sum(axis=0)
     # a NaN fails both tests, an inf the mass test
     if not (np.all((total > 0) & (total < np.inf)) and X.min() >= 0):
@@ -457,7 +457,7 @@ def _one_user(p, g, kernel, need_grad):
     P, entropies = _histograms(np.asarray(p, dtype=np.float64)[..., None], n, "p")
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (s,):
-        raise ValueError("potential must have shape (%d,), got %s" % (s, (g.shape,)))
+        raise ValueError("potential must have shape (%d,), got %s" % (s, g.shape))
     if not np.all(np.isfinite(g)):
         raise ValueError("potential has non-finite entries")
     values, grads = batch_conjugate(P, g[:, None], kernel, entropies, need_grad)

@@ -132,15 +132,12 @@ class FactorModel:
         return self.dictionary.shape[1]
 
 
-def init_factors(n_cold: int, n_users: int, k: int, seed: int = 0):
-    """Random positive dictionary plus least-squares loadings.
+def init_factors(n_cold: int, n_users: int, k: int, seed: int = 0) -> np.ndarray:
+    """Random dictionary (n_cold x k): iid uniform columns scaled onto the simplex.
 
-    Dictionary columns are iid uniform draws normalized onto the
-    simplex; loadings start every user at the best approximation of
-    the uniform histogram, so the first objective is finite and
-    identical across users.  A uniform draw is full rank with
-    probability one; a deficient one is caught by lambda_step's rank
-    check and redrawn by train_wcf.
+    Training solves the loadings block first, so none are drawn.  A
+    uniform draw is full rank with probability one; a deficient one is
+    caught by lambda_step's rank check and redrawn by train_wcf.
     """
     if not 1 <= k <= min(n_cold, n_users):
         raise ValueError(
@@ -148,11 +145,7 @@ def init_factors(n_cold: int, n_users: int, k: int, seed: int = 0):
             % (n_cold, n_users, k)
         )
     D = np.random.default_rng(seed).uniform(size=(n_cold, k))
-    D /= D.sum(axis=0, keepdims=True)
-    Q, R = np.linalg.qr(D)
-    lam0 = np.linalg.solve(R, Q.T @ np.full(n_cold, 1.0 / n_cold))
-    lam = np.tile(lam0[:, None], (1, n_users))
-    return D, lam
+    return D / D.sum(axis=0, keepdims=True)
 
 
 def _clean_histogram(x) -> np.ndarray:
@@ -374,10 +367,10 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
     every half-step, two entries per outer pass; each Sinkhorn starts
     from that half-step's potentials, which balance its users' pairs up
     to the block solve's tolerance.  Convergence compares the ends of
-    consecutive outer passes.  If a factor goes rank deficient both are
-    redrawn (a bounded number of times), the potentials restart at zero
-    and the trace carries on.  Returns the trained factors with the
-    lowest traced objective.
+    consecutive outer passes.  If a factor goes rank deficient the
+    dictionary is redrawn (a bounded number of times), the potentials
+    restart at zero and the trace carries on.  Returns the trained
+    factors with the lowest traced objective.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
@@ -401,7 +394,7 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
         if best is None or trace[-1] < best[0]:
             best = (trace[-1], D, lam)
 
-    D, lam = init_factors(s, m, k, seed=seed)
+    D = init_factors(s, m, k, seed=seed)
     G = prev = None
     redraws = 0
     outer = 0
@@ -417,7 +410,7 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
                 raise
             warnings.warn("redrawing %s after rank deficiency (attempt %d)"
                           % (err.factor, redraws))
-            D, lam = init_factors(s, m, k, seed=int(rng.integers(2 ** 31)))
+            D = init_factors(s, m, k, seed=int(rng.integers(2 ** 31)))
             G = None
             continue
         score(D, lam, G)
@@ -470,12 +463,22 @@ def save_model(model: FactorModel, path) -> None:
 
 
 def load_model(path) -> FactorModel:
-    """Load a directory written by save_model."""
+    """Load a directory written by save_model; a manifest key that is
+    missing or of another JSON type is a ValueError naming it."""
     path = Path(path)
     with open(path / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError("model manifest is not a JSON object")
     if manifest.get("format") != MODEL_FORMAT:
         raise ValueError("unrecognized model format %r" % manifest.get("format"))
+    # JSON's only integers are ints; a bool or a float names no count, item or user
+    for key, what in (("gamma", "a number"), ("k", "an int"), ("item_ids", "a list of ints"),
+                      ("user_ids", "a list of ints"), ("objective_trace", "a list of numbers")):
+        values = manifest.get(key) if what.startswith("a list") else [manifest.get(key)]
+        types = (int,) if "int" in what else (int, float)
+        if not isinstance(values, list) or any(type(v) not in types for v in values):
+            raise ValueError("model manifest: %r is missing or not %s" % (key, what))
     D = np.loadtxt(path / "dictionary.tsv", delimiter="\t", ndmin=2)
     lam = np.loadtxt(path / "loadings.tsv", delimiter="\t", ndmin=2)
     model = FactorModel(

@@ -709,3 +709,14 @@ class TestExperimentConfig:
         assert not (tmp_path / "never").exists()
         # the usage line is the subcommand's, whichever check refused the flag
         assert capsys.readouterr().err.startswith("usage: wassrec %s " % bad[0])
+
+    @pytest.mark.parametrize("flags", [
+        ["train", "--algorithm", "wcf", "--latent-dim"],
+        ["train", "--algorithm", "wf", "--folds"],
+        ["train", "--algorithm", "wf", "--seed"],
+        ["train", "--algorithm", "wcf", "--max-outer"],
+        ["evaluate", "--scope"],
+    ], ids=lambda flags: flags[-1])
+    def test_fraction_for_an_integer_flag_is_not_an_integer(self, tmp_path, capsys, flags):
+        assert main(flags + ["2.5", "--out", str(tmp_path / "never")]) == 1
+        assert "argument %s: '2.5' is not an integer" % flags[-1] in capsys.readouterr().err

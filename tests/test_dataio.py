@@ -215,6 +215,10 @@ class TestLoadGenome:
         malformed.write_text("movieId,tagId,relevance\n1,x,0.5\n")
         with pytest.raises(DataError, match="malformed"):
             load_genome(malformed)
+        empty = tmp_path / "e.csv"
+        empty.write_text("")
+        with pytest.raises(DataError, match="empty genome file"):
+            load_genome(empty)
 
 
 @st.composite
@@ -280,6 +284,23 @@ class TestLoadGenomeAgainstLineParser:
             assert got[0] == "ok"
         else:
             assert got[0] == "error" and message in got[2]
+
+
+class TestTableChecks:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: InteractionTable([1, 2], [10], [1.0, 1.0], [0, 0]), "aligned 1-D arrays"),
+        (lambda: InteractionTable([[1]], [[10]], [[1.0]], [[0]]), "aligned 1-D arrays"),
+        (lambda: GenomeTable([1, 2], [7], [[0.5]]),
+         r"relevance shape \(1, 1\) does not match 2 items x 1 tags"),
+        (lambda: GenomeTable([2, 1], [7], [[0.5], [0.5]]), "strictly increasing"),
+        (lambda: GenomeTable([1], [7, 7], [[0.5, 0.5]]), "strictly increasing"),
+        (lambda: GenomeTable([1], [7], [[1.5]]), r"must lie in \[0, 1\]"),
+        (lambda: GenomeTable([1], [7], [[np.nan]]), r"must lie in \[0, 1\]"),
+    ], ids=["ragged-interactions", "2-d-interactions", "relevance-shape", "item-order",
+            "repeated-tag", "relevance-above-one", "relevance-nan"])
+    def test_rejects_inconsistent_columns(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 class TestFilterCatalog:
@@ -405,3 +426,9 @@ class TestColdStartSplit:
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps({"ratio": "3:1"}))
             read_split_manifest(bad)
+        bad.write_text(json.dumps({"ratio": "3:1", "seed": 5, "folds": {}}))
+        with pytest.raises(DataError, match="'folds' is not a list"):
+            read_split_manifest(bad)
+        with pytest.raises(ValueError, match="no splits to write"):
+            write_split_manifest([], tmp_path / "never.json")
+        assert not (tmp_path / "never.json").exists()

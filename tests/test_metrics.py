@@ -139,6 +139,10 @@ class TestEvaluateRun:
         with pytest.raises(DataError, match="no predictions"):
             evaluate_run({1: [10]}, _table([(1, 10), (2, 10)]), scope=1)
 
+    def test_scope_below_one_is_an_error(self):
+        with pytest.raises(ValueError, match="scope must be at least 1"):
+            evaluate_run({1: [10]}, _table([(1, 10)]), scope=0)
+
     def test_no_evaluable_users_is_an_error(self):
         test = _table([(9, 10)]).restrict_users([123])  # empty table
         with pytest.raises(DataError, match="no evaluable"):
@@ -208,8 +212,9 @@ class TestEvaluateRunAgainstScalarMetrics:
         ({1: [10, 11]}, [(1, 14), (1, 10), (1, 12)],
          "positives [12, 14] are missing from the ranking"),
         ({2: [10, 10], 1: [11]}, [(1, 11)], None),  # no positives: not looked at
+        ({1: [10.0, 11.0]}, [(1, 10)], "rankings must hold integer item ids"),
     ], ids=["duplicate", "missing-first-user", "duplicate-before-missing", "missing-sorted",
-            "excluded-duplicate"])
+            "excluded-duplicate", "float-ids"])
     def test_invalid_rankings_raise_the_scalar_error(self, predictions, rows, want):
         # the first bad user in prediction order raises, with these messages
         if want is None:

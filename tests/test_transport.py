@@ -44,7 +44,7 @@ class TestSimplex:
             simplex([np.nan, 1.0])
         with pytest.raises(ValueError):
             simplex([])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"weights must be a 1-D vector, got shape \(1, 2\)$"):
             simplex([[0.5, 0.5]])
 
     def test_does_not_mutate_input(self):
@@ -226,8 +226,11 @@ class TestSinkhorn:
             sinkhorn(p0, q1, M, gamma=0.0)
         with pytest.raises(ValueError):
             sinkhorn(p0, q1, M, gamma=0.1, tol=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"cost shape \(%d, %d\) does not match marginals "
+                                             r"\(%d, %d\)$" % (*M.shape, q1.size, p0.size)):
             sinkhorn(q1, p0, M, gamma=0.1)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            sinkhorn(p0, q1, M, gamma=0.1, max_iter=0)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_tol(self, movies, tol):
@@ -272,11 +275,14 @@ class TestGibbsKernel:
         with pytest.raises(ValueError):
             GibbsKernel(np.zeros((2, 2)), 0.0)
 
-    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
-    def test_rejects_invalid_costs(self, bad):
-        M = np.ones((2, 2))
-        M[1, 0] = bad
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+    @pytest.mark.parametrize("M, message", [
+        ([[1.0, 1.0], [-1.0, 1.0]], "finite and nonnegative"),
+        ([[1.0, 1.0], [np.nan, 1.0]], "finite and nonnegative"),
+        ([[1.0, 1.0], [np.inf, 1.0]], "finite and nonnegative"),
+        ([1.0, 1.0], r"cost matrix must be 2-D, got shape \(2,\)"),
+    ], ids=["negative", "nan", "inf", "1-d"])
+    def test_rejects_invalid_costs(self, M, message):
+        with pytest.raises(ValueError, match=message):
             GibbsKernel(M, 0.5)
 
     def test_from_cost_takes_a_plain_array(self):
@@ -342,6 +348,8 @@ class TestConjugateValue:
         k = GibbsKernel(np.zeros((2, 2)), 0.1)
         with pytest.raises(ValueError):
             conjugate_value([0.5, 0.5], [np.inf, 0.0], k)
+        with pytest.raises(ValueError, match=r"potential must have shape \(2,\), got \(3,\)"):
+            conjugate_value([0.5, 0.5], [0.0, 0.0, 0.0], k)
 
 
 class TestConjugateGrad:
@@ -592,7 +600,7 @@ class TestBatchSinkhorn:
     def test_rejects_bad_input(self):
         kernel = GibbsKernel(np.ones((2, 3)), 0.1)
         P, Q = np.full((2, 4), 0.5), np.full((3, 4), 1 / 3)
-        with pytest.raises(ValueError, match="P must have shape"):
+        with pytest.raises(ValueError, match=r"P must have shape \(2, m >= 1\), got \(1, 4\)$"):
             batch_sinkhorn(P[:1], Q, kernel)
         with pytest.raises(ValueError, match="columns"):
             batch_sinkhorn(P, Q[:, :2], kernel)
@@ -602,6 +610,8 @@ class TestBatchSinkhorn:
             batch_sinkhorn(P, Q * np.array([1, 1, 0, 1]), kernel)
         with pytest.raises(ValueError, match="tol"):
             batch_sinkhorn(P, Q, kernel, tol=np.nan)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            batch_sinkhorn(P, Q, kernel, max_iter=0)
 
 
 def _corrupt(case, P):

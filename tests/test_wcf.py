@@ -1,3 +1,4 @@
+import json
 import re
 import warnings
 
@@ -46,15 +47,11 @@ def conj_grad_single(p, g, M, gamma):
 
 class TestInitFactors:
     def test_columns_on_simplex_and_deterministic(self):
-        D, lam = init_factors(5, 8, 3, seed=4)
-        assert D.shape == (5, 3) and lam.shape == (3, 8)
+        D = init_factors(5, 8, 3, seed=4)
+        assert D.shape == (5, 3)
         np.testing.assert_allclose(D.sum(axis=0), np.ones(3), atol=1e-12)
         assert D.min() > 0
-        D2, lam2 = init_factors(5, 8, 3, seed=4)
-        np.testing.assert_array_equal(D, D2)
-        np.testing.assert_array_equal(lam, lam2)
-        # all users start at the same loading vector
-        assert np.ptp(lam, axis=1).max() == 0.0
+        np.testing.assert_array_equal(D, init_factors(5, 8, 3, seed=4))
 
     def test_rank_validation(self):
         with pytest.raises(ValueError, match="k must satisfy"):
@@ -114,7 +111,7 @@ class TestLambdaStep:
         M = rng.uniform(size=(4, s))
         kernel = GibbsKernel(M, 0.05)
         P = [rng.dirichlet(np.ones(4)) for _ in range(m)]
-        D, _ = init_factors(s, m, s, seed=1)
+        D = init_factors(s, m, s, seed=1)
         lam, _ = lambda_step(D, P, kernel)
         for u, p in enumerate(P):
             np.testing.assert_allclose(D @ lam[:, u], infer_cold(p, kernel), atol=1e-10)
@@ -166,6 +163,11 @@ class TestLambdaStep:
             lambda_step(D, [np.array([0.5, 0.5])], kernel)
         assert exc.value.factor == "dictionary"
 
+    def test_dictionary_rows_must_match_kernel_columns(self):
+        kernel = GibbsKernel(np.ones((2, 3)), 0.1)
+        with pytest.raises(ValueError, match="dictionary rows 4 do not match kernel columns 3"):
+            lambda_step(np.eye(4, 2), [np.array([0.5, 0.5])], kernel)
+
     def test_dual_and_sinkhorn_traces_agree_at_optimum(self):
         # by strong duality at the block optimum the traced primal
         # Sinkhorn value equals the negated dual value at the potentials
@@ -173,7 +175,7 @@ class TestLambdaStep:
         M = rng.uniform(size=(3, 4))
         kernel = GibbsKernel(M, 0.1)
         P = [rng.dirichlet(np.ones(3)) for _ in range(3)]
-        D, _ = init_factors(4, 3, 2, seed=2)
+        D = init_factors(4, 3, 2, seed=2)
         lam, G = lambda_step(D, P, kernel)
         vals, _ = batch_conjugate(
             np.stack(P, axis=1), G, kernel,
@@ -252,6 +254,11 @@ class TestDStep:
         with pytest.raises(RankDeficiencyError) as exc:
             d_step(lam, [np.array([0.5, 0.5])] * 2, kernel)
         assert exc.value.factor == "loadings"
+
+    def test_loadings_must_cover_every_user(self):
+        kernel = GibbsKernel(np.ones((2, 3)), 0.1)
+        with pytest.raises(ValueError, match="loadings cover 2 users but P has 3"):
+            d_step(np.eye(2), [np.array([0.5, 0.5])] * 3, kernel)
 
     def test_mass_inconsistent_loadings_rejected(self):
         # lam = [[1, 2]] asks one dictionary column to have total mass
@@ -362,12 +369,11 @@ class TestTrainWcf:
         draws, real_init = [], wcf.init_factors
 
         def drawing(s, m, k, seed=0):
-            D, lam = real_init(s, m, k, seed=seed)
+            D = real_init(s, m, k, seed=seed)
             if len(draws) < deficient_draws:
-                D = D.copy()
                 D[:, -1] = D[:, 0]  # duplicate column: rank deficient
-            draws.append((D, lam))
-            return D, lam
+            draws.append(D)
+            return D
 
         monkeypatch.setattr(wcf, "init_factors", drawing)
         rng = np.random.default_rng(7)
@@ -380,10 +386,7 @@ class TestTrainWcf:
         assert len(draws) == deficient_draws + 1
         assert len([w for w in record if "redrawing" in str(w.message)]) == deficient_draws
         assert len(model.objective_trace) == len(entries) == 2
-        for D, lam, G0, _ in entries:
-            assert G0 is not None
-            assert not any(np.array_equal(D, D0) and np.array_equal(lam, lam0)
-                           for D0, lam0 in draws)
+        assert all(G0 is not None for _, _, G0, _ in entries)
 
     def test_user_and_item_ids_attached(self):
         rng = np.random.default_rng(2)
@@ -402,11 +405,10 @@ class TestTrainWcf:
 
         def flaky_init(s, m, k, seed=0):
             calls["n"] += 1
-            D, lam = real_init(s, m, k, seed=seed)
+            D = real_init(s, m, k, seed=seed)
             if calls["n"] == 1:
-                D = D.copy()
                 D[:, -1] = D[:, 0]  # duplicate column: rank deficient
-            return D, lam
+            return D
 
         monkeypatch.setattr(wcf, "init_factors", flaky_init)
         rng = np.random.default_rng(1)
@@ -421,10 +423,9 @@ class TestTrainWcf:
         real_init = wcf.init_factors
 
         def deficient_init(s, m, k, seed=0):
-            D, lam = real_init(s, m, k, seed=seed)
-            D = D.copy()
+            D = real_init(s, m, k, seed=seed)
             D[:, -1] = D[:, 0]  # every draw rank deficient
-            return D, lam
+            return D
 
         monkeypatch.setattr(wcf, "init_factors", deficient_init)
         rng = np.random.default_rng(1)
@@ -468,6 +469,21 @@ class TestTrainWcf:
             train_wcf(P, GibbsKernel(M, 0.1), k=2, gamma=0.05)
 
 
+MISSING = object()  # a manifest value that is deleted rather than replaced
+
+
+def _set_key(key, value):
+    """A manifest edit that sets ``key`` to ``value``, or deletes it for MISSING."""
+    def edit(text):
+        manifest = json.loads(text)
+        if value is MISSING:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        return json.dumps(manifest)
+    return edit
+
+
 class TestPredictAndPersistence:
     def _model(self):
         D = np.array([[0.6, 0.1], [0.3, 0.2], [0.1, 0.7]])
@@ -487,6 +503,12 @@ class TestPredictAndPersistence:
     def test_unknown_user(self):
         with pytest.raises(KeyError):
             predict_user(self._model(), 99)
+
+    def test_prediction_without_positive_mass_is_a_solver_error(self):
+        model = FactorModel(np.ones((2, 1)), -np.ones((1, 1)), 0.05, item_ids=(1, 2),
+                            user_ids=(7,))
+        with pytest.raises(SolverError, match="no positive mass"):
+            predict_user(model, 7)
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(33)
@@ -537,7 +559,18 @@ class TestPredictAndPersistence:
          "factors must be finite"),
         ("loadings.tsv", lambda text: text[:text.index("\n") + 1],
          re.escape("dictionary (3, 2) and loadings (1, 2) are incompatible")),
-    ], ids=["k", "item-ids", "duplicate-item-ids", "duplicate-user-ids", "nan", "shape"])
+        *(("manifest.json", _set_key(key, MISSING), "model manifest: '%s' is missing" % key)
+          for key in ("gamma", "k", "item_ids", "user_ids", "objective_trace")),
+        ("manifest.json", _set_key("k", "2"), "model manifest: 'k' is missing or not an int"),
+        ("manifest.json", _set_key("gamma", True), "model manifest: 'gamma' is missing or not a number"),
+        ("manifest.json", _set_key("objective_trace", None),
+         "model manifest: 'objective_trace' is missing or not a list of numbers"),
+        ("manifest.json", _set_key("user_ids", [1, 10.7]),
+         "model manifest: 'user_ids' is missing or not a list of ints"),
+        ("manifest.json", lambda text: "[%s]" % text, "model manifest is not a JSON object"),
+    ], ids=["k", "item-ids", "duplicate-item-ids", "duplicate-user-ids", "nan", "shape",
+            "no-gamma", "no-k", "no-item-ids", "no-user-ids", "no-objective-trace",
+            "k-str", "gamma-bool", "objective-trace-null", "user-id-float", "not-an-object"])
     def test_load_rejects_tampered_directory(self, tmp_path, name, edit, message):
         save_model(self._model(), tmp_path / "m")
         target = tmp_path / "m" / name
@@ -563,7 +596,7 @@ class TestDualityEndToEnd:
         M = rng.uniform(size=(n, s))
         kernel = GibbsKernel(M, 0.1)
         P = [rng.dirichlet(np.ones(n)) for _ in range(m)]
-        D, _ = init_factors(s, m, k, seed=0)
+        D = init_factors(s, m, k, seed=0)
         lam, G = lambda_step(D, P, kernel)
         primal = sum(
             sinkhorn(P[u], wcf._clean_histogram(D @ lam[:, u]), M, 0.1,
@@ -602,7 +635,7 @@ class TestLineSearchStall:
         rng = np.random.default_rng(8)
         kernel = GibbsKernel(rng.uniform(size=(4, 6)), 0.1)
         P = [rng.dirichlet(np.ones(4)) for _ in range(m)]
-        D, _ = init_factors(6, m, k, seed=3)
+        D = init_factors(6, m, k, seed=3)
         lam = rng.uniform(0.5, 1.5, size=(k, m))
         lam[0] = 1.0  # unit-mass predictions stay reachable
         return P, kernel, D, lam

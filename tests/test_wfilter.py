@@ -27,6 +27,10 @@ class TestUserInteractions:
             UserInteractions(1, [0, 1], [1.0, 0.0])
         with pytest.raises(ValueError):
             UserInteractions(1, [-1], [1.0])
+        with pytest.raises(ValueError, match="1-D and aligned"):
+            UserInteractions(1, [0, 1], [1.0])
+        with pytest.raises(ValueError, match="1-D and aligned"):
+            UserInteractions(1, [[0, 1]], [[1.0, 1.0]])
 
 
 class TestEstimatePreference:
@@ -38,6 +42,8 @@ class TestEstimatePreference:
         u = UserInteractions("a", [5], [1.0])
         with pytest.raises(ValueError):
             estimate_preference(u, 3)
+        with pytest.raises(ValueError, match="n_items must be positive"):
+            estimate_preference(u, 0)
 
 
 class TestInferCold:
@@ -158,12 +164,16 @@ class TestRankItems:
             rank_items([0.5, 0.5], [1, 1])
         with pytest.raises(ValueError):
             rank_items([0.5, 0.5], [1, 2, 3])
+        with pytest.raises(ValueError, match="scores must be a 1-D sequence"):
+            rank_items([[0.5], [0.25]], [1, 2])
 
     def test_ranked_list_validates(self):
         with pytest.raises(ValueError):
             RankedList(item_ids=(1, 2), scores=(0.1, 0.9))
         with pytest.raises(ValueError):
             RankedList(item_ids=(1, 1), scores=(0.9, 0.1))
+        with pytest.raises(ValueError, match="item_ids and scores must be aligned"):
+            RankedList(item_ids=(1, 2), scores=(0.9,))
         assert len(RankedList(item_ids=(1,), scores=(1.0,))) == 1
 
 
