@@ -26,7 +26,6 @@ success, 1 usage error, 2 data error, 3 solver failure.
 """
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -36,6 +35,7 @@ import numpy as np
 from .dataio import (
     FORMATS,
     RATIOS,
+    _write_json,
     binarize,
     build_cost_matrix,
     cold_start_split,
@@ -137,7 +137,8 @@ def cmd_prepare(args) -> int:
     genome = load_genome(args.genome)
     table, genome = filter_catalog(table, genome)
 
-    order = np.lexsort((table.timestamps, table.item_ids, table.user_ids))
+    # one record per (user, item) is left, so no pair of rows ties
+    order = np.lexsort((table.item_ids, table.user_ids))
     _write_table(prepared / "interactions.tsv", "", ("%d\t", "%d\t", "%.17g\t", "%d\n"),
                  *(_distinct(col[order]) for col in (table.user_ids, table.item_ids,
                                                      table.ratings)),
@@ -151,15 +152,12 @@ def cmd_prepare(args) -> int:
 
     n_users = int(table.users.size)
     n_items = int(table.items.size)
-    stats = {
+    _write_json(prepared / "stats.json", {
         "users": n_users,
         "items": n_items,
         "interactions": len(table),
         "density": len(table) / (n_users * n_items),
-    }
-    with open(prepared / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
     print("prepared %d interactions (%d users, %d items) -> %s"
           % (len(table), n_users, n_items, prepared))

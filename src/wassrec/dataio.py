@@ -1,4 +1,4 @@
-"""Interaction logs, tag-genome vectors, and cold-start experiment splits.
+"""Interaction logs, tag-genome vectors, cold-start splits and JSON records.
 
 Files are parsed as whole arrays first: one structured ``np.loadtxt``
 per file, then vectorized checks.  Each file also has one complete
@@ -39,6 +39,13 @@ FORMATS = {"tab": "\t", "double-colon": "::"}
 RATIOS = {"3:1": (4, "cold"), "1:1": (2, "cold"), "1:3": (4, "interacted")}
 
 MAX_MALFORMED_FRACTION = 0.01
+
+# the Python types of each kind of JSON value a record may require;
+# JSON's only integers are ints, and a bool or a float names no count,
+# seed, fold, item or user
+_JSON_KINDS = {"an int": (int,), "a number": (int, float), "a string": (str,),
+               "a list of ints": (int,), "a list of numbers": (int, float),
+               "a list of objects": (dict,)}
 
 _RATING_ROW = [("user", np.int64), ("item", np.int64), ("rating", np.float64),
                ("time", np.int64)]
@@ -412,11 +419,33 @@ def cold_start_split(table: InteractionTable, ratio: str = "3:1",
     return splits
 
 
+def _write_json(path, record) -> None:
+    """Write ``record`` as JSON, indented and key-sorted, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _check_record(record, what, fields) -> None:
+    """Require ``record`` to be a JSON object holding each key of ``fields``.
+
+    ``fields`` maps a key to the kind of value it must hold, one of
+    ``_JSON_KINDS``.  A record that is no object, or a key that is
+    missing or of another kind, is a DataError naming ``what``.
+    """
+    if not isinstance(record, dict):
+        raise DataError("%s is not a JSON object" % what)
+    for key, kind in fields.items():
+        values = record.get(key) if kind.startswith("a list") else [record.get(key)]
+        if not isinstance(values, list) or any(type(v) not in _JSON_KINDS[kind] for v in values):
+            raise DataError("%s: %r is missing or not %s" % (what, key, kind))
+
+
 def write_split_manifest(splits, path) -> None:
     """Record ratio, seed and the exact item sets of every fold as JSON."""
     if not splits:
         raise ValueError("no splits to write")
-    payload = {
+    _write_json(path, {
         "ratio": splits[0].ratio,
         "seed": splits[0].seed,
         "folds": [
@@ -427,29 +456,20 @@ def write_split_manifest(splits, path) -> None:
             }
             for s in splits
         ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def read_split_manifest(path) -> dict:
-    """The JSON of ``write_split_manifest``; every fold entry must name its
-    fold number (an int) and its interacted and cold items (lists of ints)."""
+    """The JSON of ``write_split_manifest``: an object with its ratio (a
+    string), seed (an int) and folds, each an object naming its fold
+    number (an int) and its interacted and cold items (lists of ints)."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    for key in ("ratio", "seed", "folds"):
-        if key not in payload:
-            raise DataError("split manifest %s lacks %r" % (path, key))
-    if not isinstance(payload["folds"], list):
-        raise DataError("split manifest %s: 'folds' is not a list" % path)
+    what = "split manifest %s" % path
+    _check_record(payload, what, {"ratio": "a string", "seed": "an int",
+                                  "folds": "a list of objects"})
     for k, entry in enumerate(payload["folds"]):
-        for key in ("fold", "interacted", "cold"):
-            if not isinstance(entry, dict) or key not in entry:
-                raise DataError("split manifest %s: fold entry %d lacks %r" % (path, k, key))
-            # JSON's only integers are ints; a bool names no fold or item
-            values = [entry[key]] if key == "fold" else entry[key]
-            if not isinstance(values, list) or any(type(v) is not int for v in values):
-                raise DataError("split manifest %s: fold entry %d: %r is not %s" % (
-                    path, k, key, "an int" if key == "fold" else "a list of ints"))
+        _check_record(entry, "%s: fold entry %d" % (what, k),
+                      {"fold": "an int", "interacted": "a list of ints", "cold": "a list of ints"})
     return payload
+

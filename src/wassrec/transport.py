@@ -110,12 +110,8 @@ class GibbsKernel:
     gamma: float
 
     def __post_init__(self):
-        c = _as_cost(self.cost)
-        g = float(self.gamma)
-        if not np.isfinite(g) or g <= 0:
-            raise ValueError("gamma must be positive and finite, got %r" % self.gamma)
-        object.__setattr__(self, "cost", c)
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "cost", _as_cost(self.cost))
+        object.__setattr__(self, "gamma", _positive("gamma", self.gamma))
 
     @classmethod
     def from_cost(cls, M, gamma: float) -> "GibbsKernel":
@@ -228,11 +224,29 @@ def _histograms(X, rows, name="P"):
     return np.ascontiguousarray(H.T), -_xlogx(H).sum(axis=1)
 
 
-def _check_budget(tol, max_iter):
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite, got %r" % (tol,))
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+def _positive(name, value) -> float:
+    """``value`` as a float; a ValueError naming it unless 0 < value < inf."""
+    v = float(value)
+    if not 0 < v < np.inf:
+        raise ValueError("%s must be positive and finite, got %r" % (name, value))
+    return v
+
+
+def _check_budget(tol, count, name="max_iter"):
+    """Check a solve's tolerance and its pass budget ``count``, named ``name`` in errors."""
+    _positive("tol", tol)
+    if count < 1:
+        raise ValueError("%s must be at least 1" % name)
+
+
+def _warm_start(G0, shape) -> np.ndarray:
+    """Warm-start potentials ``G0`` as a float64 array of ``shape``, zeros when None."""
+    if G0 is None:
+        return np.zeros(shape)
+    G0 = np.asarray(G0, dtype=np.float64)
+    if G0.shape != shape:
+        raise ValueError("warm-start potentials have shape %s, expected %s" % (G0.shape, shape))
+    return G0
 
 
 def _newton(p, q, f, g, cost, gamma, tol):
@@ -280,14 +294,14 @@ def _newton(p, q, f, g, cost, gamma, tol):
     g[cols] = x[n:]
 
 
-def _scale(P, Q, kernel, tol, max_iter, G0=None):
+def _scale(P, Q, kernel, tol, max_iter, G0):
     """Log-domain Sinkhorn on all pairs: f = gamma (log p - log K e^(g/gamma)), mirrored.
 
     Returns F, G, the row sums R of the plans e^((f_i + g_j - M_ij)/gamma)
     (their columns are Q), iterations and violation.  The column
-    potentials start at ``G0`` (s x m, checked by the caller), zero when
-    None.  Zero-mass entries hold potential -inf from the start, so they
-    carry no plan mass.
+    potentials start at ``G0`` (s x m, checked by the caller).  Zero-mass
+    entries hold potential -inf from the start, so they carry no plan
+    mass.
     After _NEWTON_AFTER iterations each pair still open gets a damped
     Newton solve (``_newton``) from its current potentials, and the
     scaling loop carries on from there; pairs that close before then
@@ -301,7 +315,7 @@ def _scale(P, Q, kernel, tol, max_iter, G0=None):
     cells = np.flatnonzero(P)  # rows are checked where they carry mass
     p, users = P.ravel()[cells], cells % P.shape[1]
     support = cells if cells.size < P.size else None  # F is -inf off P's support
-    G = np.where(Q > 0, 0.0 if G0 is None else G0, -np.inf)
+    G = np.where(Q > 0, G0, -np.inf)
     b, L, _ = _shifted_log_product(kernel, G, P)
     for it in range(1, max_iter + 1):
         F = gamma * (log_P - L) - b
@@ -351,13 +365,9 @@ def batch_sinkhorn(P, Q, kernel: GibbsKernel, tol: float = DEFAULT_TOL,
     if P.shape[1] != Q.shape[1]:
         raise ValueError("P has %d columns but Q has %d" % (P.shape[1], Q.shape[1]))
     _check_budget(tol, max_iter)
-    if G0 is not None:
-        G0 = np.asarray(G0, dtype=np.float64)
-        if G0.shape != Q.shape:
-            raise ValueError("warm-start potentials have shape %s, expected %s"
-                             % (G0.shape, Q.shape))
-        if not np.all(np.isfinite(G0[Q > 0])):
-            raise ValueError("warm-start potentials must be finite where Q has mass")
+    G0 = _warm_start(G0, Q.shape)
+    if not np.all(np.isfinite(G0[Q > 0])):
+        raise ValueError("warm-start potentials must be finite where Q has mass")
     F, G, R, iterations, viol = _scale(P, Q, kernel, tol, max_iter, G0)
     # <T, M> - gamma h(T) = <f, rows of T> + <g, columns of T>
     values = (np.einsum("ij,ij->j", R, np.where(P > 0, F, 0.0))
@@ -383,7 +393,8 @@ def sinkhorn(p, q, M, gamma: float, tol: float = DEFAULT_TOL,
     p, q, M = _check_pair(p, q, M)
     _check_budget(tol, max_iter)
     kernel = GibbsKernel(M, gamma)
-    F, G, _, iterations, viol = _scale(p[:, None], q[:, None], kernel, tol, max_iter)
+    F, G, _, iterations, viol = _scale(p[:, None], q[:, None], kernel, tol, max_iter,
+                                       np.zeros((q.size, 1)))
     plan = np.exp((F + G.T - M) / kernel.gamma)
     cost = float((plan * M).sum())
     return TransportPlan(

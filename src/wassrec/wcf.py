@@ -40,8 +40,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import _check_record, _write_json
 from .exceptions import RankDeficiencyError, SolverError, UnboundedDualError
-from .transport import GibbsKernel, _histograms, batch_conjugate, batch_sinkhorn
+from .transport import (GibbsKernel, _check_budget, _histograms, _positive, _warm_start,
+                        batch_conjugate, batch_sinkhorn)
 
 __all__ = [
     "FactorModel",
@@ -112,24 +114,35 @@ class FactorModel:
                              % (D.shape, L.shape))
         if not (np.all(np.isfinite(D)) and np.all(np.isfinite(L))):
             raise ValueError("factors must be finite")
-        if not 0 < float(self.gamma) < np.inf:
-            raise ValueError("gamma must be positive and finite, got %r" % (self.gamma,))
-        items = tuple(int(i) for i in self.item_ids)
-        users = tuple(int(u) for u in self.user_ids)
-        if len(items) != D.shape[0] or len(set(items)) != len(items):
-            raise ValueError("item_ids must name the %d dictionary rows, each once" % D.shape[0])
-        if len(users) != L.shape[1] or len(set(users)) != len(users):
-            raise ValueError("user_ids must name the %d loading columns, each once" % L.shape[1])
+        object.__setattr__(self, "gamma", _positive("gamma", self.gamma))
+        object.__setattr__(self, "item_ids",
+                           _ids("item_ids", self.item_ids, D.shape[0], "dictionary rows"))
+        object.__setattr__(self, "user_ids",
+                           _ids("user_ids", self.user_ids, L.shape[1], "loading columns"))
         object.__setattr__(self, "dictionary", D)
         object.__setattr__(self, "loadings", L)
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "item_ids", items)
-        object.__setattr__(self, "user_ids", users)
         object.__setattr__(self, "objective_trace", tuple(float(v) for v in self.objective_trace))
 
     @property
     def k(self) -> int:
         return self.dictionary.shape[1]
+
+
+def _ids(name, ids, count, what) -> tuple:
+    """``ids`` as a tuple of ints, one for each of the ``count`` ``what``, none repeated."""
+    ids = tuple(int(i) for i in ids)
+    if len(ids) != count or len(set(ids)) != count:
+        raise ValueError("%s must name the %d %s, each once" % (name, count, what))
+    return ids
+
+
+def _full_rank_qr(A, factor):
+    """Reduced QR of A (rows x k); RankDeficiencyError for ``factor`` below rank k."""
+    _, k = A.shape
+    rank = np.linalg.matrix_rank(A)
+    if rank < k:
+        raise RankDeficiencyError(factor, int(rank), k)
+    return np.linalg.qr(A)
 
 
 def init_factors(n_cold: int, n_users: int, k: int, seed: int = 0) -> np.ndarray:
@@ -207,16 +220,10 @@ def _pgd(P, G0, kernel, entropies, project, groups, block):
     ``block``.
     ``G0`` warm-starts the potentials; None starts them at zero.
     """
-    shape = (kernel.shape[1], P.shape[1])
-    if G0 is None:
-        G0 = np.zeros(shape)
-    elif np.shape(G0) != shape:
-        raise ValueError("warm-start potentials have shape %s, expected %s"
-                         % (np.shape(G0), shape))
+    G = project(_warm_start(G0, (kernel.shape[1], P.shape[1])))
     n_groups = int(groups.max()) + 1
     frozen = np.zeros(n_groups, dtype=bool)
     t_start = np.full(n_groups, _STEP_INIT)
-    G = project(np.array(G0, dtype=np.float64))
     vals, grads = batch_conjugate(P, G, kernel, entropies, True)
     for passes in range(_MAX_INNER + 1):
         PG = project(grads)
@@ -295,17 +302,13 @@ def lambda_step(D, P, kernel: GibbsKernel, G0=None):
     the final potentials.
     """
     D = np.asarray(D, dtype=np.float64)
-    s, k = D.shape
-    rank = np.linalg.matrix_rank(D)
-    if rank < k:
-        raise RankDeficiencyError("dictionary", int(rank), k)
     P_mat, ents = _histograms(np.transpose(P), kernel.shape[0])
+    Q, R = _full_rank_qr(D, "dictionary")
     m = P_mat.shape[1]
-    if kernel.shape[1] != s:
+    if kernel.shape[1] != D.shape[0]:
         raise ValueError("dictionary rows %d do not match kernel columns %d"
-                         % (s, kernel.shape[1]))
+                         % (D.shape[0], kernel.shape[1]))
 
-    Q, R = np.linalg.qr(D)
     G, grads = _pgd(P_mat, G0, kernel, ents, _projector(Q), np.arange(m), "loadings")
     return np.linalg.solve(R, Q.T @ grads), G
 
@@ -320,15 +323,12 @@ def d_step(lam, P, kernel: GibbsKernel, G0=None):
     Returns the new dictionary and the final potentials.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    k, m = lam.shape
-    rank = np.linalg.matrix_rank(lam)
-    if rank < k:
-        raise RankDeficiencyError("loadings", int(rank), k)
     P_mat, ents = _histograms(np.transpose(P), kernel.shape[0])
+    QL, RL = _full_rank_qr(lam.T, "loadings")
+    m = lam.shape[1]
     if P_mat.shape[1] != m:
         raise ValueError("loadings cover %d users but P has %d" % (m, P_mat.shape[1]))
 
-    QL, RL = np.linalg.qr(lam.T)
     # predictions D lam_u all carry unit mass only if the all-ones
     # vector lies in the loading row space; otherwise shifting the
     # potentials along 1 c^T with Lambda c = 0 decreases the objective
@@ -372,19 +372,12 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
     restart at zero and the trace carries on.  Returns the trained
     factors with the lowest traced objective.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite, got %r" % (tol,))
-    if max_outer < 1:
-        raise ValueError("max_outer must be at least 1")
+    _check_budget(tol, max_outer, "max_outer")
     kernel = GibbsKernel(M, gamma)
     P_mat, _ = _histograms(np.transpose(P), kernel.shape[0])
     m, s = P_mat.shape[1], kernel.shape[1]
-    user_ids = tuple(range(m) if user_ids is None else user_ids)
-    item_ids = tuple(range(s) if item_ids is None else item_ids)
-    if len(user_ids) != m or len(set(user_ids)) != m:
-        raise ValueError("user_ids must name the %d histograms, each once" % m)
-    if len(item_ids) != s or len(set(item_ids)) != s:
-        raise ValueError("item_ids must name the %d cost columns, each once" % s)
+    user_ids = _ids("user_ids", range(m) if user_ids is None else user_ids, m, "histograms")
+    item_ids = _ids("item_ids", range(s) if item_ids is None else item_ids, s, "cost columns")
 
     trace, best = [], None
 
@@ -449,36 +442,27 @@ def save_model(model: FactorModel, path) -> None:
     path.mkdir(parents=True, exist_ok=True)
     np.savetxt(path / "dictionary.tsv", model.dictionary, fmt="%.17g", delimiter="\t")
     np.savetxt(path / "loadings.tsv", model.loadings, fmt="%.17g", delimiter="\t")
-    manifest = {
+    _write_json(path / "manifest.json", {
         "format": MODEL_FORMAT,
         "gamma": model.gamma,
         "k": model.k,
         "item_ids": list(model.item_ids),
         "user_ids": list(model.user_ids),
         "objective_trace": list(model.objective_trace),
-    }
-    with open(path / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_model(path) -> FactorModel:
     """Load a directory written by save_model; a manifest key that is
-    missing or of another JSON type is a ValueError naming it."""
+    missing or of another JSON type is a DataError (a ValueError) naming it."""
     path = Path(path)
     with open(path / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ValueError("model manifest is not a JSON object")
-    if manifest.get("format") != MODEL_FORMAT:
+    if isinstance(manifest, dict) and manifest.get("format") != MODEL_FORMAT:
         raise ValueError("unrecognized model format %r" % manifest.get("format"))
-    # JSON's only integers are ints; a bool or a float names no count, item or user
-    for key, what in (("gamma", "a number"), ("k", "an int"), ("item_ids", "a list of ints"),
-                      ("user_ids", "a list of ints"), ("objective_trace", "a list of numbers")):
-        values = manifest.get(key) if what.startswith("a list") else [manifest.get(key)]
-        types = (int,) if "int" in what else (int, float)
-        if not isinstance(values, list) or any(type(v) not in types for v in values):
-            raise ValueError("model manifest: %r is missing or not %s" % (key, what))
+    _check_record(manifest, "model manifest", {
+        "gamma": "a number", "k": "an int", "item_ids": "a list of ints",
+        "user_ids": "a list of ints", "objective_trace": "a list of numbers"})
     D = np.loadtxt(path / "dictionary.tsv", delimiter="\t", ndmin=2)
     lam = np.loadtxt(path / "loadings.tsv", delimiter="\t", ndmin=2)
     model = FactorModel(

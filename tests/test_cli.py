@@ -465,22 +465,27 @@ class TestEvaluate:
         pytest.param("cold", None, id="cold-null"),
         pytest.param("cold", "1 2", id="cold-str"),
         pytest.param("interacted", [1.5], id="interacted-float"),
+        pytest.param(None, MISSING, id="not-an-object"),
     ])
     def test_fold_entry_lacking_a_key_is_a_data_error(self, pipeline_out, tmp_path, capsys,
                                                       key, value):
-        # a key that is missing or of the wrong JSON type
+        # a key that is missing or of the wrong JSON type, or (key None)
+        # a manifest that is a JSON list rather than an object
         out = tmp_path / "o"
         shutil.copytree(pipeline_out, out)
         path = out / "splits" / "manifest.json"
         manifest = json.loads(path.read_text())
-        if value is MISSING:
+        if key is None:
+            manifest = [manifest]
+        elif value is MISSING:
             del manifest["folds"][0][key]
         else:
             manifest["folds"][0][key] = value
         path.write_text(json.dumps(manifest))
         assert main(["evaluate", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and repr(key) in err
+        assert str(path) in err
+        assert ("is not a JSON object" if key is None else repr(key)) in err
 
     def test_folds_must_match_the_manifest(self, tmp_path, capsys):
         # a second train with fewer folds rewrites the split manifest;

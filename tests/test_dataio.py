@@ -426,9 +426,13 @@ class TestColdStartSplit:
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps({"ratio": "3:1"}))
             read_split_manifest(bad)
-        bad.write_text(json.dumps({"ratio": "3:1", "seed": 5, "folds": {}}))
-        with pytest.raises(DataError, match="'folds' is not a list"):
-            read_split_manifest(bad)
+        for edit, message in [({"folds": {}}, "'folds' is missing or not a list of objects"),
+                              ({"ratio": 3}, "'ratio' is missing or not a string"),
+                              ({"seed": "x"}, "'seed' is missing or not an int"),
+                              ({"seed": True}, "'seed' is missing or not an int")]:
+            bad.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+            with pytest.raises(DataError, match=message):
+                read_split_manifest(bad)
         with pytest.raises(ValueError, match="no splits to write"):
             write_split_manifest([], tmp_path / "never.json")
         assert not (tmp_path / "never.json").exists()

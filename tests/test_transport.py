@@ -9,6 +9,7 @@ import wassrec.transport as transport
 from wassrec import (
     ConvergenceError,
     GibbsKernel,
+    SolverError,
     batch_conjugate,
     batch_sinkhorn,
     conjugate_grad,
@@ -111,6 +112,16 @@ class TestExact:
         p = np.full(25, 1 / 25)
         with pytest.raises(ValueError, match="cells"):
             exact_ot(p, p, np.zeros((25, 25)))
+
+    def test_lp_failure_is_a_solver_error(self, monkeypatch):
+        import scipy.optimize
+
+        def failing(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(success=False, message="stub infeasible")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing)
+        with pytest.raises(SolverError, match="exact transport LP failed: stub infeasible"):
+            exact_ot([0.5, 0.5], [0.5, 0.5], np.ones((2, 2)))
 
 
 class TestSinkhorn:
@@ -350,6 +361,18 @@ class TestConjugateValue:
             conjugate_value([0.5, 0.5], [np.inf, 0.0], k)
         with pytest.raises(ValueError, match=r"potential must have shape \(2,\), got \(3,\)"):
             conjugate_value([0.5, 0.5], [0.0, 0.0, 0.0], k)
+
+    @pytest.mark.parametrize("solve, value, grad", [
+        (conjugate_value, np.nan, None),
+        (conjugate_grad, 0.0, np.inf),
+    ], ids=["value", "grad"])
+    def test_non_finite_conjugate_is_a_solver_error(self, monkeypatch, solve, value, grad):
+        def broken(P, G, kernel, entropies, need_grad=True):
+            return np.full(1, value), None if grad is None else np.full(G.shape, grad)
+
+        monkeypatch.setattr(transport, "batch_conjugate", broken)
+        with pytest.raises(SolverError, match=r"conjugate is not finite \(gamma 0.1\)"):
+            solve([0.5, 0.5], np.zeros(2), GibbsKernel(np.zeros((2, 2)), 0.1))
 
 
 class TestConjugateGrad:
