@@ -20,6 +20,12 @@ subset count, also as a usage error.  ``main`` resolves the output
 directory to a Path on the parsed namespace and hands that namespace to
 the stage's ``cmd_*`` function.
 
+Each stage imports only the modules it runs, so a sweep that starts one
+process per stage pays for no other stage's code: ``prepare`` loads
+this module, ``dataio`` and ``exceptions``; ``evaluate`` adds
+``metrics``; ``train`` loads every module but ``metrics``.  The solver
+and metric imports therefore sit in ``cmd_train`` and ``cmd_evaluate``.
+
 Every file the pipeline writes is deterministic for fixed flags, seed
 and BLAS thread count: reruns are byte-identical.  Exit codes: 0
 success, 1 usage error, 2 data error, 3 solver failure.
@@ -35,6 +41,7 @@ import numpy as np
 from .dataio import (
     FORMATS,
     RATIOS,
+    _sorted_unique,
     _write_json,
     binarize,
     build_cost_matrix,
@@ -46,9 +53,6 @@ from .dataio import (
     write_split_manifest,
 )
 from .exceptions import DataError, SolverError
-from .metrics import evaluate_run, write_report_files
-from .wcf import _clean_histogram, save_model, train_wcf
-from .wfilter import infer_cold, rank_order
 
 __all__ = ["main", "app", "build_parser"]
 
@@ -223,6 +227,9 @@ def _write_table(path, header, fields, *columns) -> None:
 
 
 def cmd_train(args) -> int:
+    from .wcf import _clean_histogram, save_model, train_wcf
+    from .wfilter import infer_cold, rank_order
+
     out = args.out
     table = load_interactions(out / "prepared" / "interactions.tsv")
     genome = load_genome(out / "prepared" / "genome.csv")
@@ -236,7 +243,8 @@ def cmd_train(args) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
 
         users, P = _fold_histograms(split)
-        dropped = np.setdiff1d(split.test.user_ids, users).size
+        dropped = np.count_nonzero(np.isin(split.test.users, users, assume_unique=True,
+                                           invert=True))
         if dropped:
             print("fold %d: skipping %d user(s) with no training interactions"
                   % (split.fold, dropped), file=sys.stderr)
@@ -307,7 +315,7 @@ def _read_predictions(path, cold):
     if gaps.any():
         raise DataError("%s: user %d has non-contiguous ranks"
                         % (path, rows["user"][gaps.argmax()]))
-    cold = np.unique(np.asarray(cold, dtype=np.int64))
+    cold = _sorted_unique(np.asarray(cold, dtype=np.int64))
     full = counts == cold.size
     ranked = rows["item"][np.repeat(full, counts)].reshape(np.count_nonzero(full), cold.size)
     wrong = ~full
@@ -319,6 +327,8 @@ def _read_predictions(path, cold):
 
 
 def cmd_evaluate(args) -> int:
+    from .metrics import evaluate_run, write_report_files
+
     out = args.out
     manifest_path = out / "splits" / "manifest.json"
     manifest = read_split_manifest(manifest_path)
@@ -345,7 +355,8 @@ def cmd_evaluate(args) -> int:
             pred_path = runs_dir / algo / ("fold%d" % fold) / "predictions.tsv"
             users, ranked = _read_predictions(pred_path, fold_info["cold"])
             test = table.restrict_items(fold_info["cold"])
-            dropped = np.setdiff1d(test.user_ids, users).size
+            dropped = np.count_nonzero(np.isin(test.users, users, assume_unique=True,
+                                               invert=True))
             if dropped:
                 print("%s fold %d: %d evaluable user(s) had no predictions"
                       % (algo, fold, dropped), file=sys.stderr)

@@ -52,6 +52,18 @@ _RATING_ROW = [("user", np.int64), ("item", np.int64), ("rating", np.float64),
 _GENOME_ROW = [("movie", np.int64), ("tag", np.int64), ("relevance", np.float64)]
 
 
+def _sorted_unique(values) -> np.ndarray:
+    """The distinct values of an id array, ascending, as ``np.unique`` gives them.
+
+    One sort and one neighbour comparison: NumPy 2's bare ``np.unique``
+    asks ``np.ma.is_masked`` first, which imports ``numpy.ma``.
+    """
+    values = np.sort(np.ravel(values))
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 @dataclass(frozen=True)
 class InteractionTable:
     """Column-oriented (user, item, rating, timestamp) records."""
@@ -78,11 +90,11 @@ class InteractionTable:
 
     @property
     def users(self) -> np.ndarray:
-        return np.unique(self.user_ids)
+        return _sorted_unique(self.user_ids)
 
     @property
     def items(self) -> np.ndarray:
-        return np.unique(self.item_ids)
+        return _sorted_unique(self.item_ids)
 
     def _select(self, rows) -> "InteractionTable":
         """The records at ``rows``, a mask or an index array."""

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import _sorted_unique
 from .exceptions import DataError
 
 __all__ = [
@@ -79,7 +80,7 @@ def evaluate_run(predictions, test_interactions, scope: int = 20,
         raise ValueError("scope must be at least 1")
     given = list(predictions)
     users = np.array([int(u) for u in given], dtype=np.int64)
-    pos_users = np.unique(test_interactions.user_ids)
+    pos_users = _sorted_unique(test_interactions.user_ids)
     unpredicted = pos_users[~np.isin(pos_users, users)]
     if unpredicted.size:
         raise DataError(
@@ -104,7 +105,7 @@ def evaluate_run(predictions, test_interactions, scope: int = 20,
     vocab, code = np.unique(np.concatenate([items, test_interactions.item_ids]),
                             return_inverse=True)
     cells = row * vocab.size + code[:items.size]
-    pos_cells = np.unique(pos_row * vocab.size + code[items.size:])
+    pos_cells = _sorted_unique(pos_row * vocab.size + code[items.size:])
     hit = np.isin(cells, pos_cells)
     n_pos = np.bincount(pos_cells // vocab.size, minlength=users.size)
     cells.sort()

@@ -10,6 +10,7 @@ inference, which ``wfilter.infer_cold`` computes in closed form.  A cost
 is a plain nonnegative array; the item ids of its axes stay with callers.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -233,8 +234,15 @@ def _positive(name, value) -> float:
 
 
 def _check_budget(tol, count, name="max_iter"):
-    """Check a solve's tolerance and its pass budget ``count``, named ``name`` in errors."""
+    """Check a solve's tolerance and its pass budget ``count``, named ``name`` in errors.
+
+    A budget is an integer (a NumPy integer too) of at least 1.
+    """
     _positive("tol", tol)
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise TypeError("%s must be an integer, got %r" % (name, count)) from None
     if count < 1:
         raise ValueError("%s must be at least 1" % name)
 

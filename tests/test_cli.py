@@ -104,16 +104,39 @@ class TestUsage:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # every CLI stage starts by importing the package, whose runtime
-        # path is NumPy only; SciPy is loaded only when exact_ot runs
+    # per stage: its arguments, the stages run before it, and the
+    # ``wassrec`` modules it loads besides the package and ``cli``; the
+    # runtime path is NumPy only, and SciPy is loaded only when exact_ot runs
+    TRAIN_MODULES = {"dataio", "exceptions", "transport", "wcf", "wfilter"}
+    STAGES = {
+        "prepare": (["prepare", "--ratings", RATINGS, "--genome", GENOME], [],
+                    {"dataio", "exceptions"}),
+        "train-wf": (["train", "--algorithm", "wf"], ["prepare"], TRAIN_MODULES),
+        "train-wcf": (["train", "--algorithm", "wcf", "--latent-dim", "2"], ["prepare"],
+                      TRAIN_MODULES),
+        "evaluate": (["evaluate"], ["prepare", "train-wf"], {"dataio", "exceptions", "metrics"}),
+    }
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_stage_loads_only_its_modules(self, stage, tmp_path):
+        argv, before, expected = self.STAGES[stage]
+        out = ["--out", str(tmp_path / "out")]
+        for name in before:
+            assert main(self.STAGES[name][0] + out) == 0
+        # NumPy 1.24 imports numpy.ma with numpy itself, NumPy 2 only on demand
+        code = ("import json, sys, numpy; eager = 'numpy.ma' in sys.modules; "
+                "import wassrec.cli; rc = wassrec.cli.main(sys.argv[1:]); "
+                "print(json.dumps([rc, sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('wassrec', 'scipy')), eager, 'numpy.ma' in sys.modules]))")
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        code = ("import sys, wassrec.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        proc = subprocess.run([sys.executable, "-c", code, *argv, *out],
+                              env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        rc, modules, eager, ma = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 0, proc.stderr
+        assert modules == sorted({"wassrec", "wassrec.cli", *("wassrec." + m for m in expected)})
+        assert eager or not ma, "%s imported numpy.ma" % stage
 
 
 class TestPrepare:
@@ -365,7 +388,7 @@ class TestTrain:
         def boom(*args, **kwargs):
             raise SolverError("summoned for the test")
 
-        monkeypatch.setattr(cli, "train_wcf", boom)
+        monkeypatch.setattr("wassrec.wcf.train_wcf", boom)
         rc = main(["train", "--algorithm", "wcf", "--out", str(out)])
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err
@@ -379,7 +402,7 @@ class TestTrain:
         def unbounded(*args, **kwargs):
             raise UnboundedDualError("summoned for the test")
 
-        monkeypatch.setattr(cli, "train_wcf", unbounded)
+        monkeypatch.setattr("wassrec.wcf.train_wcf", unbounded)
         rc = main(["train", "--algorithm", "wcf", "--out", str(out)])
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err

@@ -226,10 +226,11 @@ class TestSinkhorn:
 
     def test_budget_exhaustion_raises_with_diagnostics(self, movies):
         M, p0, q1, _ = movies
-        with pytest.raises(ConvergenceError) as exc:
-            sinkhorn(p0, q1, M, gamma=0.05, max_iter=1)
-        assert exc.value.iterations == 1
-        assert exc.value.violation > 0
+        for budget in (1, np.int64(1)):
+            with pytest.raises(ConvergenceError) as exc:
+                sinkhorn(p0, q1, M, gamma=0.05, max_iter=budget)
+            assert exc.value.iterations == 1
+            assert exc.value.violation > 0
 
     def test_rejects_bad_parameters(self, movies):
         M, p0, q1, _ = movies
@@ -242,6 +243,9 @@ class TestSinkhorn:
             sinkhorn(q1, p0, M, gamma=0.1)
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             sinkhorn(p0, q1, M, gamma=0.1, max_iter=0)
+        for budget in (2.5, 2.0):  # not a bare TypeError from range()
+            with pytest.raises(TypeError, match=r"max_iter must be an integer, got %r$" % budget):
+                sinkhorn(p0, q1, M, gamma=0.1, max_iter=budget)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_tol(self, movies, tol):
@@ -615,10 +619,11 @@ class TestBatchSinkhorn:
 
     def test_budget_exhaustion_raises_with_diagnostics(self, movies):
         M, p0, q1, _ = movies
-        with pytest.raises(ConvergenceError) as exc:
-            batch_sinkhorn(p0[:, None], q1[:, None], GibbsKernel(M, 0.05), max_iter=1)
-        assert exc.value.iterations == 1
-        assert exc.value.violation > 0
+        for budget in (1, np.int32(1)):
+            with pytest.raises(ConvergenceError) as exc:
+                batch_sinkhorn(p0[:, None], q1[:, None], GibbsKernel(M, 0.05), max_iter=budget)
+            assert exc.value.iterations == 1
+            assert exc.value.violation > 0
 
     def test_rejects_bad_input(self):
         kernel = GibbsKernel(np.ones((2, 3)), 0.1)
@@ -635,6 +640,9 @@ class TestBatchSinkhorn:
             batch_sinkhorn(P, Q, kernel, tol=np.nan)
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             batch_sinkhorn(P, Q, kernel, max_iter=0)
+        for budget in (2.5, 2.0):
+            with pytest.raises(TypeError, match=r"max_iter must be an integer, got %r$" % budget):
+                batch_sinkhorn(P, Q, kernel, max_iter=budget)
 
 
 def _corrupt(case, P):

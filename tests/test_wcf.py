@@ -454,6 +454,16 @@ class TestTrainWcf:
             train_wcf(P, M, k=1, gamma=0.05, tol=-1.0)
         with pytest.raises(ValueError, match="max_outer must be at least 1"):
             train_wcf(P, M, k=1, gamma=0.05, max_outer=0)
+        for budget in (1.5, 2.0):  # 1.5 used to run two outer passes
+            with pytest.raises(TypeError, match=r"max_outer must be an integer, got %r$" % budget):
+                train_wcf(P, M, k=1, gamma=0.05, max_outer=budget)
+
+    def test_numpy_integer_max_outer_accepted(self):
+        rng = np.random.default_rng(2)
+        M = rng.uniform(size=(3, 4))
+        P = [rng.dirichlet(np.ones(3)) for _ in range(4)]
+        model = train_wcf(P, M, k=2, gamma=0.1, max_outer=np.int64(1))
+        assert len(model.objective_trace) == 2  # one outer pass, two half-steps
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_tol_rejected(self, tol):
