@@ -26,6 +26,14 @@ this module, ``dataio`` and ``exceptions``; ``evaluate`` adds
 ``metrics``; ``train`` loads every module but ``metrics``.  The solver
 and metric imports therefore sit in ``cmd_train`` and ``cmd_evaluate``.
 
+Tables are written by one writer, ``_write_table``, WRITE_BLOCK lines
+at a time.  A column that repeats few values (ids, ranks, genome
+relevances) has each distinct value formatted once; a column derived
+from the row number (a user repeated over its ranks, a tag tiled over
+the items, a score gathered through a ranking) is a ``_ByRow``,
+computed for one block of rows at a time, so a write holds one block
+plus the distinct texts beside its inputs.
+
 Every file the pipeline writes is deterministic for fixed flags, seed
 and BLAS thread count: reruns are byte-identical.  Exit codes: 0
 success, 1 usage error, 2 data error, 3 solver failure.
@@ -42,6 +50,7 @@ from .dataio import (
     FORMATS,
     RATIOS,
     _sorted_unique,
+    _unique_inverse,
     _write_json,
     binarize,
     build_cost_matrix,
@@ -148,10 +157,10 @@ def cmd_prepare(args) -> int:
                                                      table.ratings)),
                  table.timestamps[order])
     # %r of a float is its shortest text that reads back to the same value
-    items, tags = genome.item_ids.size, genome.tag_ids.size
+    cells, tags = genome.relevance.size, genome.tag_ids.size
     _write_table(prepared / "genome.csv", "movieId,tagId,relevance\n", ("%d,", "%d,", "%r\n"),
-                 (genome.item_ids, np.repeat(np.arange(items), tags)),
-                 (genome.tag_ids, np.tile(np.arange(tags), items)),
+                 (genome.item_ids, _ByRow(cells, lambda r: r // tags)),
+                 (genome.tag_ids, _ByRow(cells, lambda r: r % tags)),
                  _distinct(genome.relevance))
 
     n_users = int(table.users.size)
@@ -175,7 +184,7 @@ def _fold_histograms(split):
     (the solvers validate every column).  Users whose every interaction
     fell on cold items have no training signal and are left out.
     """
-    users, column = np.unique(split.train.user_ids, return_inverse=True)
+    users, column = _unique_inverse(split.train.user_ids)
     interacted = np.asarray(split.interacted_items, dtype=np.int64)
     H = np.zeros((users.size, interacted.size))
     H[column, np.searchsorted(interacted, split.train.item_ids)] = split.train.ratings
@@ -190,8 +199,27 @@ def _distinct(values):
     texts (``np.unique`` of the floats would merge them).
     """
     values = np.ravel(values)
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    bits, index = _unique_inverse(values.view(np.int64))
     return bits.view(values.dtype), index
+
+
+class _ByRow:
+    """A column of ``size`` rows made one block at a time for ``_write_table``.
+
+    ``self[start:stop]`` is ``rows(np.arange(start, stop))``, the
+    column's entries at those row numbers, so a column derived from the
+    row number (a repeat, a tile, a gather through a ranking) is never
+    held whole.
+    """
+
+    def __init__(self, size, rows):
+        self.size, self.rows = size, rows
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, block):
+        return self.rows(np.arange(block.start, min(block.stop, self.size)))
 
 
 def _write_table(path, header, fields, *columns) -> None:
@@ -199,14 +227,16 @@ def _write_table(path, header, fields, *columns) -> None:
 
     ``fields[j]`` is column j's ``%`` field followed by its separator or
     newline, so a line is its row's field texts joined.  A column is
-    either a plain array, formatted one value at a time for each block
+    either a plain column, formatted one value at a time for each block
     of WRITE_BLOCK rows, or a pair ``(values, index)``: each of
     ``values`` is formatted once, and row r shows the text of
-    ``values[index[r]]``.  A pair holds one text per distinct value for
-    the whole write, so it saves time and memory on a column that
-    repeats few values, and costs memory in proportion to ``values`` on
-    one that does not.  Each block is gathered into an object array and
-    written with one ``"".join``.
+    ``values[index[r]]``.  A plain column and an index are arrays or
+    ``_ByRow`` columns; either way the writer takes them one block
+    ``[start:start + WRITE_BLOCK]`` at a time.  A pair holds one text
+    per distinct value for the whole write, so it saves time and memory
+    on a column that repeats few values, and costs memory in proportion
+    to ``values`` on one that does not.  Each block is gathered into an
+    object array and written with one ``"".join``.
     """
     pairs = [col if isinstance(col, tuple) else (None, col) for col in columns]
     texts = [None if values is None else
@@ -235,6 +265,7 @@ def cmd_train(args) -> int:
     genome = load_genome(out / "prepared" / "genome.csv")
 
     splits = cold_start_split(table, ratio=args.ratio, folds=args.folds, seed=args.seed)
+    del table  # each split holds its own train and test rows
     (out / "splits").mkdir(parents=True, exist_ok=True)
     write_split_manifest(splits, out / "splits" / "manifest.json")
 
@@ -267,19 +298,21 @@ def cmd_train(args) -> int:
             print("fold %d: objective %.6g -> %.6g over %d half-steps"
                   % (split.fold, trace[0], trace[-1], len(trace)))
             Q = _clean_histogram(model.dictionary @ model.loadings)
+        del P, cost  # not held while the predictions are ranked and written
 
-        # one block per user, ascending: every cold item by rank, best first
-        order = rank_order(Q, split.cold_items)
-        m = len(users)
+        # one block per user, ascending: every cold item by rank, best first;
+        # row r is user r // s's rank r % s + 1, and ranked[r] its item's row of Q
+        ranked = rank_order(Q, split.cold_items).T.ravel()
+        rows = ranked.size
         _write_table(run_dir / "predictions.tsv", PREDICTION_HEADER + "\n",
                      ("%d\t", "%d\t", "%d\t", "%.17g\n"),
-                     (users, np.repeat(np.arange(m), s)),
-                     (np.arange(1, s + 1), np.tile(np.arange(s), m)),
-                     (split.cold_items, order.T.ravel()),
-                     np.take_along_axis(Q, order, axis=0).T.ravel())
+                     (users, _ByRow(rows, lambda r: r // s)),
+                     (np.arange(1, s + 1), _ByRow(rows, lambda r: r % s)),
+                     (split.cold_items, ranked),
+                     _ByRow(rows, lambda r: Q[ranked[r], r // s]))
         print("fold %d: wrote %d rankings -> %s"
               % (split.fold, len(users), run_dir / "predictions.tsv"))
-        del Q, order  # not held through the next fold's solve
+        del Q, ranked  # not held through the next fold's solve
     return 0
 
 
@@ -287,7 +320,8 @@ def _read_predictions(path, cold):
     """Parse a predictions file: its users, ascending, and their rankings.
 
     Row u of the users x s item matrix holds user u's item ids in rank
-    order; every user must rank exactly the s items of ``cold``.
+    order; every user must rank exactly the s items of ``cold``, and
+    every score must be a finite number.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -310,14 +344,24 @@ def _read_predictions(path, cold):
     # train writes (user, rank) order; sort only a file that is out of it
     if np.any((user[1:] < user[:-1]) | ((user[1:] == user[:-1]) & (rank[1:] < rank[:-1]))):
         rows = rows[np.lexsort((rank, user))]
-    users, first, counts = np.unique(rows["user"], return_index=True, return_counts=True)
-    gaps = rows["rank"] != np.arange(rows.size) - np.repeat(first, counts) + 1
+        user, rank = rows["user"], rows["rank"]
+    finite = np.isfinite(rows["score"])
+    if not finite.all():
+        raise DataError("%s: user %d has a non-finite score" % (path, user[finite.argmin()]))
+    opens = np.ones(rows.size, dtype=bool)  # a user's first row
+    np.not_equal(user[1:], user[:-1], out=opens[1:])
+    first = np.flatnonzero(opens)
+    users, counts = user[first], np.diff(first, append=rows.size)
+    # a user's ranks run 1, 2, ...: each row one above the row before
+    gaps = np.ones(rows.size, dtype=bool)
+    np.not_equal(rank[1:] - rank[:-1], 1, out=gaps[1:])
+    gaps[first] = rank[first] != 1
     if gaps.any():
-        raise DataError("%s: user %d has non-contiguous ranks"
-                        % (path, rows["user"][gaps.argmax()]))
+        raise DataError("%s: user %d has non-contiguous ranks" % (path, user[gaps.argmax()]))
     cold = _sorted_unique(np.asarray(cold, dtype=np.int64))
     full = counts == cold.size
     ranked = rows["item"][np.repeat(full, counts)].reshape(np.count_nonzero(full), cold.size)
+    del rows, user, rank  # the parsed rows are not held through the sort below
     wrong = ~full
     wrong[full] = (np.sort(ranked, axis=1) != cold).any(axis=1)
     if wrong.any():

@@ -40,6 +40,11 @@ RATIOS = {"3:1": (4, "cold"), "1:1": (2, "cold"), "1:3": (4, "interacted")}
 
 MAX_MALFORMED_FRACTION = 0.01
 
+# rows per step of the genome pivot's cell index: ``np.searchsorted``
+# copies its strided id column, so whole columns would add two
+# row-length arrays beside the parsed rows and the index
+PIVOT_BLOCK = 1 << 16
+
 # the Python types of each kind of JSON value a record may require;
 # JSON's only integers are ints, and a bool or a float names no count,
 # seed, fold, item or user
@@ -58,10 +63,30 @@ def _sorted_unique(values) -> np.ndarray:
     One sort and one neighbour comparison: NumPy 2's bare ``np.unique``
     asks ``np.ma.is_masked`` first, which imports ``numpy.ma``.
     """
-    values = np.sort(np.ravel(values))
+    values = np.array(values).ravel()  # one copy, sorted in place
+    values.sort()
     first = np.ones(values.size, dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return values[first]
+
+
+def _unique_inverse(values):
+    """``np.unique(values, return_inverse=True)`` of a 1-D int64 array.
+
+    One argsort, with three row-length arrays live where ``np.unique``
+    holds about six: the sorted copy's memory is reused for the ranks.
+    """
+    perm = np.argsort(values)
+    ranks = values[perm]
+    first = np.empty(ranks.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ranks[1:], ranks[:-1], out=first[1:])
+    distinct = ranks[first]
+    np.cumsum(first, out=ranks)  # each sorted value's place among the distinct, plus one
+    ranks -= 1
+    index = np.empty_like(perm)
+    index[perm] = ranks
+    return distinct, index
 
 
 @dataclass(frozen=True)
@@ -277,12 +302,20 @@ def load_genome(path) -> GenomeTable:
             fh.seek(body)
             rows = _genome_lines(path, fh, delim, cols)
 
-        items, item_pos = np.unique(rows["movie"], return_inverse=True)
-        tags, tag_pos = np.unique(rows["tag"], return_inverse=True)
-        cells = item_pos * tags.size + tag_pos
+        # each row's cell, movie-major, found PIVOT_BLOCK rows at a time
+        items, tags = _sorted_unique(rows["movie"]), _sorted_unique(rows["tag"])
+        cells = np.empty(rows.size, dtype=np.intp)
+        for start in range(0, rows.size, PIVOT_BLOCK):
+            block = rows[start:start + PIVOT_BLOCK]
+            cells[start:start + block.size] = (np.searchsorted(items, block["movie"]) * tags.size
+                                               + np.searchsorted(tags, block["tag"]))
         rel = rows["relevance"]
-        inside = (rel >= 0.0) & (rel <= 1.0)  # NaN is not
-        if not inside.all() or np.bincount(cells).max(initial=0) > 1:
+        filled = np.zeros(items.size * tags.size, dtype=bool)
+        filled[cells] = True
+        present = np.count_nonzero(filled)
+        del filled
+        # NaN lies in no interval; a repeated pair fills fewer cells than rows
+        if present < rows.size or not ((rel >= 0.0) & (rel <= 1.0)).all():
             fh.seek(body)
             _genome_lines(path, fh, delim, cols)  # raises at the first bad line
     if not rows.size:
@@ -290,7 +323,7 @@ def load_genome(path) -> GenomeTable:
 
     relevance = np.zeros(items.size * tags.size)
     relevance[cells] = rel
-    missing = relevance.size - rows.size
+    missing = relevance.size - present
     if missing:
         warnings.warn(
             "genome %s: %d (movie, tag) pair(s) absent, filled with relevance 0"
@@ -346,6 +379,7 @@ def build_cost_matrix(genome: GenomeTable, row_ids, col_ids) -> np.ndarray:
 
     Every item must have a genome with at least one positive score;
     costs are 1 - cosine similarity, clipped into [0, 2], in a float64 array.
+    Beside the result, only the gathered unit vectors are held.
     """
     n = len(row_ids)
     ids = np.concatenate([np.asarray(row_ids, dtype=np.int64),
@@ -361,8 +395,14 @@ def build_cost_matrix(genome: GenomeTable, row_ids, col_ids) -> np.ndarray:
         if not found[k]:
             raise DataError("item %d has no genome vector" % ids[k])
         raise DataError("item %d has an all-zero genome vector" % ids[k])
-    vecs = genome.relevance[pos] / norms[:, None]
-    return np.clip(1.0 - vecs[:n] @ vecs[n:].T, 0.0, 2.0)
+    # allocated before the unit vectors, whose memory, freed on return,
+    # then lies above it for the next array to reuse
+    cost = np.empty((n, ids.size - n))
+    vecs = genome.relevance[pos]
+    vecs /= norms[:, None]
+    np.matmul(vecs[:n], vecs[n:].T, out=cost)
+    np.subtract(1.0, cost, out=cost)
+    return np.clip(cost, 0.0, 2.0, out=cost)
 
 
 @dataclass(frozen=True)

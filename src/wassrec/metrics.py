@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _sorted_unique
+from .dataio import _sorted_unique, _unique_inverse
 from .exceptions import DataError
 
 __all__ = [
@@ -91,27 +91,26 @@ def evaluate_run(predictions, test_interactions, scope: int = 20,
         raise DataError("no evaluable users: every prediction lacks test positives")
     excluded = int(users.size - np.count_nonzero(evaluable))
 
-    # every evaluable ranking, flattened, with its row and rank
+    # every evaluable ranking, flattened, as (row, item) integer keys over
+    # a compact item vocabulary: row * vocab.size + the item's place in it
     users = users[evaluable]
     rankings = [_item_array(predictions[u]) for u, e in zip(given, evaluable) if e]
     lengths = np.array([r.size for r in rankings])
-    items = np.concatenate(rankings)
-    row = np.repeat(np.arange(users.size), lengths)
-    rank = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-
-    # (row, item) pairs as integer keys over a compact item vocabulary
+    vocab, code = _unique_inverse(np.concatenate([*rankings, test_interactions.item_ids]))
+    cells = code[:code.size - len(test_interactions)]
+    cells += np.repeat(np.arange(users.size) * vocab.size, lengths)
     order = np.argsort(users)
     pos_row = order[np.searchsorted(users, test_interactions.user_ids, sorter=order)]
-    vocab, code = np.unique(np.concatenate([items, test_interactions.item_ids]),
-                            return_inverse=True)
-    cells = row * vocab.size + code[:items.size]
-    pos_cells = _sorted_unique(pos_row * vocab.size + code[items.size:])
-    hit = np.isin(cells, pos_cells)
+    pos_cells = _sorted_unique(pos_row * vocab.size + code[cells.size:])
     n_pos = np.bincount(pos_cells // vocab.size, minlength=users.size)
+    # row u's ranks, left-aligned, flag its positives; the mask's True
+    # cells, in row-major order, are the flattened rankings' order
+    H = np.zeros((users.size, int(lengths.max())), dtype=bool)
+    H[np.arange(H.shape[1]) < lengths[:, None]] = np.isin(cells, pos_cells)
     cells.sort()
     repeated = np.zeros(users.size, dtype=bool)
     repeated[cells[1:][cells[1:] == cells[:-1]] // vocab.size] = True
-    bad = repeated | (np.bincount(row[hit], minlength=users.size) < n_pos)
+    bad = repeated | (np.count_nonzero(H, axis=1) < n_pos)
     if bad.any():
         k = int(np.argmax(bad))
         if repeated[k]:
@@ -120,10 +119,12 @@ def evaluate_run(predictions, test_interactions, scope: int = 20,
         raise ValueError("positives %r are missing from the ranking"
                          % (np.setdiff1d(positives, rankings[k]).tolist(),))
 
-    H = np.zeros((users.size, int(lengths.max())), dtype=bool)
-    H[row, rank] = hit
     ranks = np.arange(1, H.shape[1] + 1)
-    ap = np.where(H, np.cumsum(H, axis=1) / ranks, 0.0).cumsum(axis=1)[:, -1] / n_pos
+    # precision at each rank, kept at the hits, summed left to right in place
+    precision = np.cumsum(H, axis=1, dtype=np.float64)
+    precision /= ranks
+    precision[~H] = 0.0
+    ap = np.cumsum(precision, axis=1, out=precision)[:, -1] / n_pos
     top = H[:, :scope]
     discount = np.array([1.0 / math.log2(r + 1) for r in ranks[:scope].tolist()])
     dcg = np.where(top, discount, 0.0).cumsum(axis=1)[:, -1]

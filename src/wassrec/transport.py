@@ -111,8 +111,13 @@ class GibbsKernel:
     gamma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "cost", _as_cost(self.cost))
-        object.__setattr__(self, "gamma", _positive("gamma", self.gamma))
+        cost, gamma = _as_cost(self.cost), _positive("gamma", self.gamma)
+        top = float(cost.max(initial=0.0))
+        if top / gamma == np.inf:  # a subnormal gamma: the kernel would hold NaN
+            raise ValueError("gamma %r is too small for the largest cost %r: "
+                             "cost / gamma overflows" % (gamma, top))
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "gamma", gamma)
 
     @classmethod
     def from_cost(cls, M, gamma: float) -> "GibbsKernel":
@@ -124,8 +129,13 @@ class GibbsKernel:
 
     @cached_property
     def shifted_kernel(self) -> np.ndarray:
-        """exp(-cost / gamma - row_shift): every row peaks at exactly 1."""
-        return np.exp(-self.cost / self.gamma - self.row_shift[:, None])
+        """exp(-cost / gamma - row_shift): every row peaks at exactly 1.
+
+        Built in one array, in place, in the order of that expression."""
+        K = np.negative(self.cost)
+        K /= self.gamma
+        K -= self.row_shift[:, None]
+        return np.exp(K, out=K)
 
     @cached_property
     def T(self) -> "GibbsKernel":

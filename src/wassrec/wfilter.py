@@ -23,6 +23,10 @@ __all__ = [
     "rank_order",
 ]
 
+# users per step of ``infer_cold``: each step holds one n x INFER_BLOCK
+# quotient X / K1 instead of the whole stack's n x m one
+INFER_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class UserInteractions:
@@ -107,6 +111,7 @@ def infer_cold(p, M, gamma: float | None = None) -> np.ndarray:
     smoothed transport cost from p, which is the conjugate gradient at a
     zero potential.  K is taken row-shifted (``shifted_kernel``), which
     cancels in the ratio; its rows peak at 1, so K 1 >= 1 at any gamma.
+    The quotient p / K 1 is formed for INFER_BLOCK users at a time.
     """
     if isinstance(M, GibbsKernel):
         if gamma is not None and gamma != M.gamma:
@@ -119,7 +124,11 @@ def infer_cold(p, M, gamma: float | None = None) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     X, mass = _checked_columns(p if p.ndim == 2 else p[..., None], kernel.shape[0], "p")
     K = kernel.shifted_kernel
-    Q = K.T @ (X / K.sum(axis=1)[:, None])
+    row_mass = K.sum(axis=1)[:, None]
+    Q = np.empty((K.shape[1], X.shape[1]))
+    for start in range(0, X.shape[1], INFER_BLOCK):
+        cols = slice(start, start + INFER_BLOCK)
+        Q[:, cols] = K.T @ (X[:, cols] / row_mass)
     Q /= mass
     return Q if p.ndim == 2 else Q[:, 0]
 

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,21 @@ FIXTURE_DIR = ROOT / "data" / "fixture"
 
 # make tests/oracles.py importable regardless of rootdir
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+
+def traced_peak(run):
+    """The peak of traced allocations while ``run()`` runs, above its start."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture

@@ -223,6 +223,22 @@ def write_table(path, header, fmt, *columns) -> None:
             fh.write(fmt * len(rows) % tuple(chain.from_iterable(rows)))
 
 
+def cost_matrix(genome, row_ids, col_ids):
+    """``build_cost_matrix``'s arithmetic as whole-array expressions.
+
+    Each step makes a new array, in the order the library's in-place
+    steps run, so their results must agree bit for bit.  Every id must
+    have a genome row that is not all zero.
+    """
+    n = len(row_ids)
+    ids = np.concatenate([np.asarray(row_ids, dtype=np.int64),
+                          np.asarray(col_ids, dtype=np.int64)])
+    pos = np.searchsorted(genome.item_ids, ids)
+    norms = np.array([np.linalg.norm(genome.relevance[k]) for k in pos])
+    vecs = genome.relevance[pos] / norms[:, None]
+    return np.clip(1.0 - vecs[:n] @ vecs[n:].T, 0.0, 2.0)
+
+
 def load_genome_lines(path):
     """``load_genome`` as a plain line-by-line parser.
 

@@ -5,7 +5,6 @@ import re
 import shutil
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from wassrec import (
 )
 from wassrec.cli import main
 
-from conftest import FIXTURE_DIR, ROOT
+from conftest import FIXTURE_DIR, ROOT, traced_peak
 from oracles import oracle_ap, oracle_ndcg, oracle_recall, write_table
 
 RATINGS = str(FIXTURE_DIR / "u.data")
@@ -380,6 +379,18 @@ class TestTrain:
         assert main(["train", "--algorithm", "wcf", "--latent-dim", "2", "--seed", "1",
                      "--folds", "2", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("algorithm", ["wf", "wcf"])
+    def test_subnormal_gamma_is_a_data_error(self, tmp_path, capsys, algorithm):
+        # wf used to write NaN scores and exit 0, wcf to exit 3 on a factor
+        # column without mass
+        out = tmp_path / "o"
+        assert main(["prepare", "--ratings", RATINGS, "--genome", GENOME,
+                     "--out", str(out)]) == 0
+        assert main(["train", "--algorithm", algorithm, "--gamma", "1e-310",
+                     "--latent-dim", "2", "--out", str(out)]) == 2
+        assert "gamma 1e-310 is too small for the largest cost" in capsys.readouterr().err
+        assert not list(out.glob("runs/*/*/predictions.tsv"))
+
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "o"
         assert main(["prepare", "--ratings", RATINGS, "--genome", GENOME,
@@ -552,16 +563,25 @@ class TestReadPredictions:
         (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1\t2.0\t20\t0.25"] + VALID_ROWS[2:]),
         (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1\t2\t20.0\t0.25"] + VALID_ROWS[2:]),
         (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1\t2\t20\thigh"] + VALID_ROWS[2:]),
+        (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1\t2\t20\tnan"] + VALID_ROWS[2:]),
+        (cli.PREDICTION_HEADER, VALID_ROWS[:3] + ["2\t2\t10\t-inf"]),
         (cli.PREDICTION_HEADER, VALID_ROWS[:2] + [""] + VALID_ROWS[2:]),
         (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1\t3\t20\t0.25"] + VALID_ROWS[2:]),
         (cli.PREDICTION_HEADER, VALID_ROWS[:1] + ["1\t1\t20\t0.25"] + VALID_ROWS[2:]),
         (cli.PREDICTION_HEADER, []),
     ], ids=["header", "three-fields", "five-fields", "float-user", "float-rank",
-            "float-item", "text-score", "blank-line", "rank-gap", "repeated-rank",
-            "header-only"])
+            "float-item", "text-score", "nan-score", "inf-score", "blank-line", "rank-gap",
+            "repeated-rank", "header-only"])
     def test_rejects_malformed_file(self, tmp_path, header, rows):
         path = write_predictions(tmp_path / "bad.tsv", rows, header)
         with pytest.raises(DataError, match=re.escape(str(path))):
+            cli._read_predictions(path, [10, 20])
+
+    def test_names_the_smallest_user_with_a_non_finite_score(self, tmp_path):
+        rows = VALID_ROWS + ["3\t1\t10\tinf", "3\t2\t20\t0.5"]
+        rows[3] = "2\t2\t10\tnan"
+        path = write_predictions(tmp_path / "p.tsv", rows[::-1])
+        with pytest.raises(DataError, match="user 2 has a non-finite score"):
             cli._read_predictions(path, [10, 20])
 
     @pytest.mark.parametrize("rows, user", [
@@ -654,19 +674,45 @@ class TestWriteTable:
         rows = 200_000
         scores = np.random.default_rng(0).random(rows) / 3
         users = (np.arange(1000), np.repeat(np.arange(1000), rows // 1000))
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            cli._write_table(tmp_path / "t.tsv", "", ("%d\t", "%.17g\n"), users, scores)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak = traced_peak(lambda: cli._write_table(tmp_path / "t.tsv", "", ("%d\t", "%.17g\n"),
+                                                    users, scores))
         assert peak <= 3 * 2**20
         assert (tmp_path / "t.tsv").stat().st_size > 20 * rows
+
+
+    @pytest.mark.parametrize("items, tags", [(1000, 200), (4000, 100)])
+    def test_genome_shaped_write_holds_a_block_plus_the_distinct_texts(self, tmp_path,
+                                                                        items, tags):
+        # cmd_prepare's columns; np.repeat and np.tile held 16 bytes a row
+        rows = items * tags
+        relevance = cli._distinct(np.random.default_rng(0).integers(2000, size=rows) / 2000)
+        ids, tag_ids = np.arange(items) * 3 + 1, np.arange(tags) * 7 + 2
+        peak = traced_peak(lambda: cli._write_table(
+            tmp_path / "genome.csv", "", ("%d,", "%d,", "%r\n"),
+            (ids, cli._ByRow(rows, lambda r: r // tags)),
+            (tag_ids, cli._ByRow(rows, lambda r: r % tags)), relevance))
+        assert peak <= 2**19 + 200 * (items + tags + relevance[0].size)
+        assert (tmp_path / "genome.csv").read_text().count("\n") == rows
+
+    @pytest.mark.parametrize("users, s", [(1000, 200), (2000, 200)])
+    def test_predictions_shaped_write_holds_a_block_plus_the_distinct_texts(
+            self, tmp_path, users, s):
+        # cmd_train's columns; the full-length user, rank and score columns
+        # held 24 bytes a row
+        rows = users * s
+        Q = np.random.default_rng(1).random((s, users))
+        ranked = np.argsort(-Q, axis=0).T.ravel()
+        user_ids, items = np.arange(users) * 5, np.arange(s) * 11
+        peak = traced_peak(lambda: cli._write_table(
+            tmp_path / "predictions.tsv", "", ("%d\t", "%d\t", "%d\t", "%.17g\n"),
+            (user_ids, cli._ByRow(rows, lambda r: r // s)),
+            (np.arange(1, s + 1), cli._ByRow(rows, lambda r: r % s)),
+            (items, ranked),
+            cli._ByRow(rows, lambda r: Q[ranked[r], r // s])))
+        assert peak <= 2**19 + 200 * (users + 2 * s)
+        lines = (tmp_path / "predictions.tsv").read_text().splitlines()
+        assert len(lines) == rows
+        assert lines[s + 1] == "5\t2\t%d\t%.17g" % (items[ranked[s + 1]], Q[ranked[s + 1], 1])
 
 
 class TestOutResolution:

@@ -21,9 +21,10 @@ from wassrec.dataio import (
     read_split_manifest,
     write_split_manifest,
 )
-from wassrec.dataio import _parse_rating_lines
+from wassrec.dataio import _parse_rating_lines, _unique_inverse
 
-from oracles import load_genome_lines
+from conftest import traced_peak
+from oracles import cost_matrix, load_genome_lines
 
 
 def outcome(parse, *args):
@@ -286,6 +287,33 @@ class TestLoadGenomeAgainstLineParser:
             assert got[0] == "error" and message in got[2]
 
 
+class TestUniqueInverse:
+    @pytest.mark.parametrize("size, high", [(0, 1), (1, 1), (50, 3), (1000, 10**6)])
+    def test_equals_np_unique(self, size, high):
+        rng = np.random.default_rng(size)
+        values = rng.integers(-high, high, size=size) * 2**40
+        distinct, index = _unique_inverse(values)
+        expected, inverse = np.unique(values, return_inverse=True)
+        assert distinct.tobytes() == expected.tobytes()
+        assert index.dtype == inverse.dtype and index.tobytes() == inverse.tobytes()
+
+
+class TestLoadGenomeMemory:
+    def test_peak_is_the_rows_plus_two_index_arrays(self, tmp_path):
+        # 24 bytes a parsed row, 8 for its cell and 8 for the relevance
+        # matrix; two np.unique inverses held about 73 bytes a row
+        items, tags = 500, 200
+        rng = np.random.default_rng(0)
+        cells = rng.permutation(items * tags)  # rows in no particular order
+        path = tmp_path / "genome.csv"
+        with open(path, "w") as fh:
+            fh.write("movieId,tagId,relevance\n")
+            fh.writelines("%d,%d,%r\n" % (3 * (c // tags) + 1, 7 * (c % tags) + 2, v)
+                          for c, v in zip(cells.tolist(), rng.random(cells.size).tolist()))
+        peak = traced_peak(lambda: load_genome(path))
+        assert peak <= (24 + 8 + 8) * cells.size + 2**20
+
+
 class TestTableChecks:
     @pytest.mark.parametrize("make, message", [
         (lambda: InteractionTable([1, 2], [10], [1.0, 1.0], [0, 0]), "aligned 1-D arrays"),
@@ -334,6 +362,21 @@ class TestBuildCostMatrix:
         assert costs.dtype == np.float64 and costs.shape == (2, 2)
         assert costs[0, 1] == pytest.approx(expected, abs=1e-15)  # in the order asked
         assert costs.min() >= 0.0 and costs.max() <= 2.0
+
+    @pytest.mark.parametrize("items, tags", [(2, 1), (7, 3), (60, 40), (300, 128)])
+    def test_bytes_equal_the_whole_array_arithmetic(self, items, tags):
+        rng = np.random.default_rng(items)
+        rel = rng.random((items, tags)) * (rng.random((items, tags)) < 0.6)
+        rel[:, 0] += 0.01  # no all-zero row
+        rel[1] = rel[0]  # a cosine of about 1, so the clip at 0 may act
+        rel /= rel.max()
+        genome = GenomeTable(np.arange(items) * 3 + 1, np.arange(tags), rel)
+        ids = rng.permutation(genome.item_ids)
+        n = int(rng.integers(1, items))
+        got = build_cost_matrix(genome, ids[:n], ids[n:])
+        expected = cost_matrix(genome, ids[:n], ids[n:])
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_missing_and_zero_genomes_rejected(self):
         g = GenomeTable([1, 2], [7, 8], np.array([[0.5, 0.1], [0.0, 0.0]]))

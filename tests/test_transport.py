@@ -290,6 +290,14 @@ class TestGibbsKernel:
         with pytest.raises(ValueError):
             GibbsKernel(np.zeros((2, 2)), 0.0)
 
+    def test_rejects_gamma_at_which_cost_over_gamma_overflows(self):
+        # a subnormal gamma made the kernel inf / inf, NaN in every score
+        M = np.array([[0.0, 0.75], [0.5, 0.25]])
+        with pytest.raises(ValueError, match=r"gamma 1e-310 .*largest cost 0\.75"):
+            GibbsKernel(M, 1e-310)
+        assert GibbsKernel(np.zeros((2, 2)), 1e-310).shifted_kernel.tolist() == [[1.0] * 2] * 2
+        assert np.isfinite(GibbsKernel(M, 1e-300).shifted_kernel).all()
+
     @pytest.mark.parametrize("M, message", [
         ([[1.0, 1.0], [-1.0, 1.0]], "finite and nonnegative"),
         ([[1.0, 1.0], [np.nan, 1.0]], "finite and nonnegative"),

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wassrec.transport as transport
+import wassrec.wfilter as wfilter
 from wassrec import GibbsKernel, batch_conjugate, conjugate_grad, entropy
 from wassrec.wfilter import (RankedList, UserInteractions, estimate_preference, infer_cold,
                              rank_items, rank_order)
+from conftest import traced_peak
 from oracles import entropic_value_many, rank_by_key
 
 
@@ -91,18 +92,20 @@ class TestInferCold:
         kernel = GibbsKernel(rng.uniform(size=(n, s)), 0.05)
         kernel.shifted_kernel  # built before tracing
         X = rng.uniform(size=(n, m))
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            infer_cold(X, kernel)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak = traced_peak(lambda: infer_cold(X, kernel))
         assert peak <= 8 * (n * m + 2 * s * m)
+
+    def test_peak_memory_one_column_block_plus_the_result(self):
+        # the quotient X / K1 is formed INFER_BLOCK users at a time; beside
+        # the s x m result a step holds its n x B quotient and s x B product
+        rng = np.random.default_rng(6)
+        n, s, m = 400, 120, 1000
+        kernel = GibbsKernel(rng.uniform(size=(n, s)), 0.05)
+        kernel.shifted_kernel  # built before tracing
+        X = rng.uniform(size=(n, m))
+        peak = traced_peak(lambda: infer_cold(X, kernel))
+        assert m > 4 * wfilter.INFER_BLOCK
+        assert peak <= 8 * ((n + s) * wfilter.INFER_BLOCK + s * m + n + m) + 2**15
 
     def test_minimizes_transport_cost_refined_grid(self, movies):
         # q_hat should minimize W_gamma(p, .) over the simplex; for
