@@ -11,7 +11,7 @@ single closed-form expression, no solver loop.
 
 import numpy as np
 
-from wassrec import GibbsKernel, infer_cold, rank_items
+from wassrec import GibbsKernel, infer_cold, rank_order
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -35,10 +35,10 @@ romance_fan = np.array([0.05, 0.05, 0.9])
 
 for name, p in (("superhero fan", superhero_fan), ("romance fan", romance_fan)):
     q = infer_cold(p, M, gamma=0.05)
-    ranking = rank_items(q, cold)
+    order = rank_order(q[:, None], cold)[:, 0]  # one user: a one-column stack
     print("%s, history %s" % (name, dict(zip(watched, p.tolist()))))
     print("  inferred cold preferences:", dict(zip(cold, np.round(q, 4).tolist())))
-    print("  recommendation order:", list(ranking.item_ids))
+    print("  recommendation order:", [cold[j] for j in order])
     print()
 
 # -- gamma controls how literal the matching is --------------------------

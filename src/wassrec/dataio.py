@@ -513,13 +513,15 @@ def write_split_manifest(splits, path) -> None:
 
 def read_split_manifest(path) -> dict:
     """The JSON of ``write_split_manifest``: an object with its ratio (a
-    string), seed (an int) and folds, each an object naming its fold
-    number (an int) and its interacted and cold items (lists of ints)."""
+    string), seed (an int) and at least one fold, each an object naming its
+    fold number (an int) and its interacted and cold items (lists of ints)."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     what = "split manifest %s" % path
     _check_record(payload, what, {"ratio": "a string", "seed": "an int",
                                   "folds": "a list of objects"})
+    if not payload["folds"]:
+        raise DataError("%s lists no folds" % what)
     for k, entry in enumerate(payload["folds"]):
         _check_record(entry, "%s: fold entry %d" % (what, k),
                       {"fold": "an int", "interacted": "a list of ints", "cold": "a list of ints"})

@@ -27,8 +27,6 @@ __all__ = [
     "batch_sinkhorn",
     "exact_ot",
     "batch_conjugate",
-    "conjugate_value",
-    "conjugate_grad",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -465,50 +463,20 @@ def exact_ot(p, q, M) -> TransportPlan:
     )
 
 
-def batch_conjugate(P, G, kernel: GibbsKernel, entropies, need_grad: bool = True):
-    """Conjugate values (m,) and gradients (s x m, or None) of many users at once.
+def batch_conjugate(P, G, kernel: GibbsKernel, entropies):
+    """Conjugate values (m,) and gradients (s x m) of many users at once.
 
-    Columns of P (n x m) are simplex histograms with entropies h(p_u),
-    trusted here because callers validate P once per solve; columns of G
-    are their potentials.  The values gamma (h(p_u) + <p_u, log K
-    exp(g_u / gamma)>) and the gradients come from one stabilized
-    product over all users (``_shifted_log_product``), so large spreads
-    of g / gamma neither overflow nor underflow.
+    For fixed first marginal p, the conjugate of q -> W_gamma(p, q) at
+    the dual vector g is gamma (h(p) + <p, log K exp(g / gamma)>), and
+    its gradient exp(g / gamma) * K^T (p / K exp(g / gamma)) is a point
+    on the simplex.  Columns of P (n x m) are simplex histograms with
+    entropies h(p_u), trusted here because callers validate P once per
+    solve (``_histograms`` returns both); columns of G are their
+    potentials.  Values and gradients come from one stabilized product
+    over all users (``_shifted_log_product``), so large spreads of
+    g / gamma neither overflow nor underflow.
     """
-    b, L, grads = _shifted_log_product(kernel, G, P, need_grad)
+    b, L, grads = _shifted_log_product(kernel, G, P, need_grad=True)
     values = kernel.gamma * (entropies + kernel.row_shift @ P
                              + np.einsum("ij,ij->j", P, L)) + b
     return values, grads
-
-
-def _one_user(p, g, kernel, need_grad):
-    n, s = kernel.shape
-    P, entropies = _histograms(np.asarray(p, dtype=np.float64)[..., None], n, "p")
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != (s,):
-        raise ValueError("potential must have shape (%d,), got %s" % (s, g.shape))
-    if not np.all(np.isfinite(g)):
-        raise ValueError("potential has non-finite entries")
-    values, grads = batch_conjugate(P, g[:, None], kernel, entropies, need_grad)
-    if not (np.isfinite(values[0]) and (grads is None or np.all(np.isfinite(grads)))):
-        raise SolverError("conjugate is not finite (gamma %g)" % kernel.gamma)
-    return float(values[0]), grads
-
-
-def conjugate_value(p, g, kernel: GibbsKernel) -> float:
-    """Legendre conjugate of the smoothed transport cost in its second slot.
-
-    For fixed first marginal p, the conjugate of q -> W_gamma(p, q) at
-    the dual vector g is gamma * (h(p) + <p, log(K alpha)>) with
-    alpha = exp(g / gamma); the one-user case of batch_conjugate, so
-    large g / gamma ratios do not overflow.
-    """
-    return _one_user(p, g, kernel, need_grad=False)[0]
-
-
-def conjugate_grad(p, g, kernel: GibbsKernel) -> np.ndarray:
-    """Gradient of the conjugate: alpha * K^T (p / (K alpha)), a point on the simplex.
-
-    The one-user case of batch_conjugate.
-    """
-    return _one_user(p, g, kernel, need_grad=True)[1][:, 0]

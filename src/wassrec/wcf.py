@@ -34,6 +34,7 @@ tolerances meaningful.
 """
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,7 +131,10 @@ class FactorModel:
 
 def _ids(name, ids, count, what) -> tuple:
     """``ids`` as a tuple of ints, one for each of the ``count`` ``what``, none repeated."""
-    ids = tuple(int(i) for i in ids)
+    try:
+        ids = tuple(map(operator.index, ids))
+    except TypeError:
+        raise ValueError("%s must be integers" % name) from None
     if len(ids) != count or len(set(ids)) != count:
         raise ValueError("%s must name the %d %s, each once" % (name, count, what))
     return ids
@@ -224,7 +228,7 @@ def _pgd(P, G0, kernel, entropies, project, groups, block):
     n_groups = int(groups.max()) + 1
     frozen = np.zeros(n_groups, dtype=bool)
     t_start = np.full(n_groups, _STEP_INIT)
-    vals, grads = batch_conjugate(P, G, kernel, entropies, True)
+    vals, grads = batch_conjugate(P, G, kernel, entropies)
     for passes in range(_MAX_INNER + 1):
         PG = project(grads)
         n2 = np.bincount(groups, (PG * PG).sum(axis=0), n_groups)
@@ -246,7 +250,7 @@ def _pgd(P, G0, kernel, entropies, project, groups, block):
             # views, not copies, while every column is pending
             cols = slice(None) if sel.all() else np.flatnonzero(sel)
             cand = G[:, cols] - t[groups[cols]] * step[:, cols]
-            cvals, cgrads = batch_conjugate(P[:, cols], cand, kernel, entropies[cols], True)
+            cvals, cgrads = batch_conjugate(P[:, cols], cand, kernel, entropies[cols])
             value = np.bincount(groups[cols], cvals, n_groups)
             # along the line the derivative is -slope at 0 and -d1 at t
             d1 = np.bincount(groups[cols], (cgrads * step[:, cols]).sum(axis=0), n_groups)
@@ -426,8 +430,8 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
 def predict_user(model: FactorModel, user_id) -> np.ndarray:
     """Cleaned histogram D lambda_u for one user, aligned with item_ids."""
     try:
-        u = model.user_ids.index(int(user_id))
-    except ValueError:
+        u = model.user_ids.index(operator.index(user_id))
+    except (TypeError, ValueError):
         raise KeyError("unknown user %r" % (user_id,)) from None
     return _clean_histogram(model.dictionary @ model.loadings[:, u])
 

@@ -4,8 +4,9 @@ A user's history over interacted items becomes a preference histogram;
 pushing it through the Gibbs kernel of the interacted-to-cold cost
 matrix yields a histogram over the cold items in closed form, which is
 then ranked.  That histogram is the conjugate gradient at a zero
-potential, but needs none of the conjugate's log-domain machinery: one
-kernel product serves a whole stack of users at any gamma.
+potential, but needs none of the conjugate's log-domain machinery: a
+whole stack of users goes through one kernel at any gamma, one product
+per block of INFER_BLOCK users.
 """
 
 from dataclasses import dataclass
@@ -16,10 +17,8 @@ from .transport import GibbsKernel, _checked_columns, simplex
 
 __all__ = [
     "UserInteractions",
-    "RankedList",
     "estimate_preference",
     "infer_cold",
-    "rank_items",
     "rank_order",
 ]
 
@@ -55,29 +54,6 @@ class UserInteractions:
             raise ValueError("interaction values must be positive and finite")
         object.__setattr__(self, "item_indices", idx)
         object.__setattr__(self, "values", val)
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """Cold items sorted by predicted preference, best first."""
-
-    item_ids: tuple
-    scores: tuple
-
-    def __post_init__(self):
-        ids = tuple(self.item_ids)
-        scores = tuple(float(s) for s in self.scores)
-        if len(ids) != len(scores):
-            raise ValueError("item_ids and scores must be aligned")
-        if len(set(ids)) != len(ids):
-            raise ValueError("ranked list has duplicate items")
-        if any(b > a for a, b in zip(scores, scores[1:])):
-            raise ValueError("scores must be non-increasing")
-        object.__setattr__(self, "item_ids", ids)
-        object.__setattr__(self, "scores", scores)
-
-    def __len__(self):
-        return len(self.item_ids)
 
 
 def estimate_preference(interactions: UserInteractions, n_items: int) -> np.ndarray:
@@ -147,12 +123,3 @@ def rank_order(Q, item_ids) -> np.ndarray:
         raise ValueError("item_ids must be duplicate-free")
     return np.lexsort((np.broadcast_to(tie[:, None], Q.shape), -Q), axis=0)
 
-
-def rank_items(q, item_ids) -> RankedList:
-    """Sort cold items by score, breaking exact ties by ascending item id."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1:
-        raise ValueError("scores must be a 1-D sequence")
-    ids = list(item_ids)
-    order = rank_order(q[:, None], ids)[:, 0]
-    return RankedList(item_ids=tuple(ids[j] for j in order), scores=q[order])

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wassrec.transport import _histograms, batch_conjugate
+
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "data" / "fixture"
 
@@ -25,6 +27,18 @@ def traced_peak(run):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def one_user_conjugate(p, G, kernel):
+    """``batch_conjugate`` of one histogram p at each column of G (s x r).
+
+    p is validated and renormalized as a one-column stack and repeated
+    once per column; returns the r values and the s x r gradients.
+    """
+    P, entropies = _histograms(np.asarray(p, dtype=np.float64)[:, None], kernel.shape[0])
+    G = np.asarray(G, dtype=np.float64)
+    r = G.shape[1]
+    return batch_conjugate(np.repeat(P, r, axis=1), G, kernel, np.repeat(entropies, r))
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from wassrec import (
     load_interactions,
     load_model,
     predict_user,
-    rank_items,
+    rank_order,
     train_wcf,
 )
 from wassrec.cli import main
@@ -255,11 +255,13 @@ class TestTrain:
             histograms[user] = p / p.sum()
         users = sorted(histograms)
         Q = infer_cold(np.stack([histograms[u] for u in users], axis=1), kernel)
+        cold = np.asarray(split.cold_items)
         expected = {}
         for user, q in zip(users, Q.T):
             np.testing.assert_allclose(q, infer_cold(histograms[user], kernel),
                                        rtol=0, atol=1e-12)
-            expected[user] = rank_items(q, split.cold_items)
+            order = rank_order(q[:, None], cold)[:, 0]
+            expected[user] = (tuple(cold[order]), tuple(q[order]))
 
         path = pipeline_out / "runs" / "wf" / "fold0" / "predictions.tsv"
         got = {}
@@ -269,8 +271,8 @@ class TestTrain:
         assert set(got) == set(expected)
         for user, rows in got.items():
             assert [r for r, _, _ in rows] == list(range(1, len(rows) + 1))
-            assert tuple(i for _, i, _ in rows) == expected[user].item_ids
-            assert tuple(s for _, _, s in rows) == expected[user].scores
+            assert tuple(i for _, i, _ in rows) == expected[user][0]
+            assert tuple(s for _, _, s in rows) == expected[user][1]
 
     def test_wcf_predictions_equal_library_calls(self, pipeline_out):
         # fold 0's file ranks each user as predict_user on the saved model
@@ -287,11 +289,13 @@ class TestTrain:
             user, rank, item, score = line.split("\t")
             got.setdefault(int(user), []).append((int(rank), int(item), float(score)))
         assert set(got) == set(model.user_ids)
+        cold = np.asarray(split.cold_items)
         for user, rows in got.items():
-            expected = rank_items(predict_user(model, user), split.cold_items)
+            q = predict_user(model, user)
+            order = rank_order(q[:, None], cold)[:, 0]
             assert [r for r, _, _ in rows] == list(range(1, len(rows) + 1))
-            assert tuple(i for _, i, _ in rows) == expected.item_ids
-            np.testing.assert_allclose([s for _, _, s in rows], expected.scores,
+            assert tuple(i for _, i, _ in rows) == tuple(cold[order])
+            np.testing.assert_allclose([s for _, _, s in rows], q[order],
                                        rtol=0, atol=1e-12)
 
     def test_split_manifest_written(self, pipeline_out):
@@ -520,6 +524,20 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert str(path) in err
         assert ("is not a JSON object" if key is None else repr(key)) in err
+
+    def test_manifest_without_folds_exits_2(self, pipeline_out, tmp_path, capsys):
+        # with no fold directories left either, an empty fold list used to
+        # reach the mean row and fail with an IndexError, exit 1
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_out, out)
+        shutil.rmtree(out / "reports")
+        path = out / "splits" / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "folds": []}))
+        for fold in (out / "runs").glob("*/fold*"):
+            shutil.rmtree(fold)
+        assert main(["evaluate", "--out", str(out)]) == 2
+        assert "split manifest %s lists no folds" % path in capsys.readouterr().err
+        assert not (out / "reports").exists()
 
     def test_folds_must_match_the_manifest(self, tmp_path, capsys):
         # a second train with fewer folds rewrites the split manifest;

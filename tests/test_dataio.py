@@ -470,6 +470,7 @@ class TestColdStartSplit:
             bad.write_text(json.dumps({"ratio": "3:1"}))
             read_split_manifest(bad)
         for edit, message in [({"folds": {}}, "'folds' is missing or not a list of objects"),
+                              ({"folds": []}, "bad.json lists no folds"),
                               ({"ratio": 3}, "'ratio' is missing or not a string"),
                               ({"seed": "x"}, "'seed' is missing or not an int"),
                               ({"seed": True}, "'seed' is missing or not an int")]:

@@ -63,3 +63,16 @@ def test_import_loads_modules_on_first_use():
     assert proc.stdout.splitlines() == [str(["wassrec"]), str(solvers), "wassrec.metrics",
                                         str(sorted(solvers + ["wassrec.dataio",
                                                               "wassrec.metrics"]))]
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark harness imports public names and wraps every function
+    # of each module's __all__; a name it needs that the package drops
+    # fails here, in a fresh interpreter, without running the benchmark
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import checks, tracer; tracer.install(tracer.Tracer())"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

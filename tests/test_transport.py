@@ -12,8 +12,6 @@ from wassrec import (
     SolverError,
     batch_conjugate,
     batch_sinkhorn,
-    conjugate_grad,
-    conjugate_value,
     entropy,
     exact_ot,
     infer_cold,
@@ -21,6 +19,7 @@ from wassrec import (
     simplex,
     sinkhorn,
 )
+from conftest import one_user_conjugate
 from oracles import (conjugate_lse, entropic_value, entropic_value_many, simplex_grid,
                      sinkhorn_lse)
 
@@ -314,11 +313,12 @@ class TestGibbsKernel:
 
 
 class TestConjugateValue:
+    # one user's conjugate: batch_conjugate on one-column stacks
     def test_frozen_zero_cost_uniform(self):
         # h(p) = log 2, log K alpha = log 3 rowwise, value = 0.05 log 6
         k = GibbsKernel(np.zeros((2, 3)), 0.05)
-        val = conjugate_value([0.5, 0.5], np.zeros(3), k)
-        assert val == pytest.approx(0.05 * math.log(6.0), abs=1e-15)
+        vals, _ = one_user_conjugate([0.5, 0.5], np.zeros((3, 1)), k)
+        assert vals[0] == pytest.approx(0.05 * math.log(6.0), abs=1e-15)
 
     def test_point_mass_reduces_to_soft_max(self):
         # for p = delta_i the value is a gamma-scaled log-sum-exp of
@@ -328,9 +328,9 @@ class TestConjugateValue:
         g = rng.normal(scale=0.1, size=4)
         gamma = 0.2
         k = GibbsKernel(M, gamma)
-        val = conjugate_value([0.0, 1.0, 0.0], g, k)
+        vals, _ = one_user_conjugate([0.0, 1.0, 0.0], g[:, None], k)
         direct = gamma * math.log(np.exp((g - M[1]) / gamma).sum())
-        assert val == pytest.approx(direct, abs=1e-12)
+        assert vals[0] == pytest.approx(direct, abs=1e-12)
 
     def test_shift_covariance(self):
         rng = np.random.default_rng(9)
@@ -338,15 +338,14 @@ class TestConjugateValue:
         p = rng.dirichlet(np.ones(4))
         g = rng.normal(scale=0.2, size=3)
         k = GibbsKernel(M, 0.1)
-        base = conjugate_value(p, g, k)
-        for c in (-3.0, 0.7, 42.0):
-            shifted = conjugate_value(p, g + c, k)
-            assert shifted == pytest.approx(base + c, abs=1e-9)
+        shifts = np.array([0.0, -3.0, 0.7, 42.0])
+        vals, _ = one_user_conjugate(p, g[:, None] + shifts, k)
+        np.testing.assert_allclose(vals[1:], vals[0] + shifts[1:], rtol=0, atol=1e-9)
 
     def test_huge_potentials_stay_finite(self):
         k = GibbsKernel(np.ones((2, 2)), 0.01)
-        val = conjugate_value([0.5, 0.5], np.array([50.0, -50.0]), k)
-        assert math.isfinite(val)
+        vals, _ = one_user_conjugate([0.5, 0.5], np.array([[50.0], [-50.0]]), k)
+        assert math.isfinite(vals[0])
 
     def test_matches_grid_search(self):
         # H*(g) = sup_q <g, q> - W(p, q); the sup is attained strictly
@@ -358,8 +357,8 @@ class TestConjugateValue:
         p = rng.dirichlet(np.ones(3))
         g = rng.normal(scale=0.05, size=3)
         k = GibbsKernel(M, gamma)
-        value = conjugate_value(p, g, k)
-        q_star = conjugate_grad(p, g, k)
+        vals, grads = one_user_conjugate(p, g[:, None], k)
+        value, q_star = vals[0], grads[:, 0]
         assert q_star.min() > 0.04  # interior, grid bound is valid
 
         Q = simplex_grid(3, step=1 / 200, interior=True)
@@ -367,33 +366,15 @@ class TestConjugateValue:
         grid_max = float(scores.max())
         assert grid_max - 1e-9 <= value <= grid_max + 1e-4
 
-    def test_rejects_nonfinite_potential(self):
-        k = GibbsKernel(np.zeros((2, 2)), 0.1)
-        with pytest.raises(ValueError):
-            conjugate_value([0.5, 0.5], [np.inf, 0.0], k)
-        with pytest.raises(ValueError, match=r"potential must have shape \(2,\), got \(3,\)"):
-            conjugate_value([0.5, 0.5], [0.0, 0.0, 0.0], k)
-
-    @pytest.mark.parametrize("solve, value, grad", [
-        (conjugate_value, np.nan, None),
-        (conjugate_grad, 0.0, np.inf),
-    ], ids=["value", "grad"])
-    def test_non_finite_conjugate_is_a_solver_error(self, monkeypatch, solve, value, grad):
-        def broken(P, G, kernel, entropies, need_grad=True):
-            return np.full(1, value), None if grad is None else np.full(G.shape, grad)
-
-        monkeypatch.setattr(transport, "batch_conjugate", broken)
-        with pytest.raises(SolverError, match=r"conjugate is not finite \(gamma 0.1\)"):
-            solve([0.5, 0.5], np.zeros(2), GibbsKernel(np.zeros((2, 2)), 0.1))
-
 
 class TestConjugateGrad:
     def test_zero_cost_gives_uniform(self):
         k = GibbsKernel(np.zeros((2, 3)), 0.05)
-        grad = conjugate_grad([0.5, 0.5], np.zeros(3), k)
-        np.testing.assert_allclose(grad, np.full(3, 1 / 3), atol=1e-15)
+        _, grads = one_user_conjugate([0.5, 0.5], np.zeros((3, 1)), k)
+        np.testing.assert_allclose(grads[:, 0], np.full(3, 1 / 3), atol=1e-15)
 
     def test_matches_finite_differences(self):
+        # one stack per instance: g, then g + h e_j and g - h e_j for every j
         rng = np.random.default_rng(4)
         h = 1e-6
         for _ in range(5):
@@ -402,12 +383,11 @@ class TestConjugateGrad:
             p = rng.dirichlet(np.ones(n))
             g = rng.normal(scale=0.1, size=s)
             k = GibbsKernel(M, 0.1)
-            grad = conjugate_grad(p, g, k)
-            for j in range(s):
-                e = np.zeros(s)
-                e[j] = h
-                fd = (conjugate_value(p, g + e, k) - conjugate_value(p, g - e, k)) / (2 * h)
-                assert grad[j] == pytest.approx(fd, abs=1e-8)
+            e = h * np.eye(s)
+            vals, grads = one_user_conjugate(p, np.hstack([g[:, None], g[:, None] + e,
+                                                           g[:, None] - e]), k)
+            fd = (vals[1:s + 1] - vals[s + 1:]) / (2 * h)
+            np.testing.assert_allclose(grads[:, 0], fd, rtol=0, atol=1e-8)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -417,9 +397,9 @@ class TestConjugateGrad:
         M = rng.uniform(0, 2, size=(n, s))
         p = rng.dirichlet(np.ones(n))
         g = rng.normal(scale=0.5, size=s)
-        grad = conjugate_grad(p, g, GibbsKernel(M, 0.05))
-        assert grad.min() >= 0
-        assert abs(grad.sum() - 1.0) < 1e-10
+        _, grads = one_user_conjugate(p, g[:, None], GibbsKernel(M, 0.05))
+        assert grads.min() >= 0
+        assert abs(grads.sum() - 1.0) < 1e-10
 
     def test_fenchel_young_equality_at_gradient(self):
         # H*(g) + W(p, grad) = <g, grad> must hold exactly at the
@@ -429,16 +409,17 @@ class TestConjugateGrad:
         p = rng.dirichlet(np.ones(4))
         g = rng.normal(scale=0.2, size=3)
         k = GibbsKernel(M, 0.1)
-        q_star = conjugate_grad(p, g, k)
+        vals, grads = one_user_conjugate(p, g[:, None], k)
+        q_star = grads[:, 0]
         w = sinkhorn(p, q_star, M, gamma=0.1, tol=1e-12).regularized_value
-        assert conjugate_value(p, g, k) + w == pytest.approx(float(g @ q_star), abs=1e-8)
+        assert vals[0] + w == pytest.approx(float(g @ q_star), abs=1e-8)
 
     def test_zero_rows_of_p_do_not_contribute(self):
         rng = np.random.default_rng(6)
         M = rng.uniform(size=(3, 4))
         k = GibbsKernel(M, 0.1)
-        full = conjugate_grad([0.0, 0.3, 0.7], np.zeros(4), k)
-        sub = conjugate_grad([0.3, 0.7], np.zeros(4), GibbsKernel(M[1:], 0.1))
+        _, full = one_user_conjugate([0.0, 0.3, 0.7], np.zeros((4, 1)), k)
+        _, sub = one_user_conjugate([0.3, 0.7], np.zeros((4, 1)), GibbsKernel(M[1:], 0.1))
         np.testing.assert_allclose(full, sub, atol=1e-15)
 
 
@@ -676,7 +657,7 @@ class TestHistogramValidation:
         "infer_cold": lambda P, kernel: infer_cold(P, kernel),
         "lambda_step": lambda P, kernel: lambda_step(np.eye(3), P.T, kernel),
         "batch_sinkhorn": lambda P, kernel: batch_sinkhorn(P, np.full((3, 4), 1 / 3), kernel),
-        "conjugate_value": lambda P, kernel: conjugate_value(P[:, 1], np.zeros(3), kernel),
+        "one_column": lambda P, kernel: transport._histograms(P[:, 1:2], kernel.shape[0]),
     }
 
     @pytest.mark.parametrize("case", ["negative", "nan", "inf", "zero-mass", "wrong-length"])

@@ -177,10 +177,8 @@ class TestLambdaStep:
         P = [rng.dirichlet(np.ones(3)) for _ in range(3)]
         D = init_factors(4, 3, 2, seed=2)
         lam, G = lambda_step(D, P, kernel)
-        vals, _ = batch_conjugate(
-            np.stack(P, axis=1), G, kernel,
-            np.array([entropy(p) for p in P]), need_grad=False,
-        )
+        vals, _ = batch_conjugate(np.stack(P, axis=1), G, kernel,
+                                  np.array([entropy(p) for p in P]))
         primal = wcf._primal_objective(D, lam, np.stack(P, axis=1), kernel, G)
         assert primal == pytest.approx(float(-vals.sum()), abs=1e-6)
 
@@ -399,6 +397,21 @@ class TestTrainWcf:
         assert train_wcf(P, M, k=2, gamma=0.1).item_ids == (0, 1, 2, 3)
         assert model.k == 2
 
+    def test_ids_must_be_integers(self):
+        # int() used to store 7.9 as user 7 and 2.5 as item 2
+        rng = np.random.default_rng(2)
+        M = rng.uniform(size=(3, 4))
+        P = [rng.dirichlet(np.ones(3)) for _ in range(4)]
+        with pytest.raises(ValueError, match="user_ids must be integers"):
+            train_wcf(P, M, k=2, gamma=0.1, user_ids=(7.9, 8, 9, 10))
+        with pytest.raises(ValueError, match="item_ids must be integers"):
+            train_wcf(P, M, k=2, gamma=0.1, item_ids=(1, 2.5, 3, 4))
+        # NumPy integers are stored as ints
+        model = train_wcf(P, M, k=2, gamma=0.1, user_ids=np.arange(7, 11),
+                          item_ids=np.array([21, 23, 22, 20], dtype=np.int32))
+        assert model.user_ids == (7, 8, 9, 10) and model.item_ids == (21, 23, 22, 20)
+        assert all(type(i) is int for i in model.user_ids + model.item_ids)
+
     def test_redraw_on_rank_deficiency(self, monkeypatch):
         calls = {"n": 0}
         real_init = wcf.init_factors
@@ -514,6 +527,13 @@ class TestPredictAndPersistence:
         with pytest.raises(KeyError):
             predict_user(self._model(), 99)
 
+    def test_non_integer_user_is_unknown(self):
+        model = self._model()
+        for user in (1.99, 1.0, "1"):  # int() used to read 1.99 as user 1
+            with pytest.raises(KeyError):
+                predict_user(model, user)
+        np.testing.assert_array_equal(predict_user(model, np.int64(1)), predict_user(model, 1))
+
     def test_prediction_without_positive_mass_is_a_solver_error(self):
         model = FactorModel(np.ones((2, 1)), -np.ones((1, 1)), 0.05, item_ids=(1, 2),
                             user_ids=(7,))
@@ -613,10 +633,8 @@ class TestDualityEndToEnd:
                      tol=1e-10, max_iter=100_000).regularized_value
             for u in range(m)
         )
-        vals, _ = batch_conjugate(
-            np.stack(P, axis=1), G, kernel,
-            np.array([entropy(p) for p in P]), need_grad=False,
-        )
+        vals, _ = batch_conjugate(np.stack(P, axis=1), G, kernel,
+                                  np.array([entropy(p) for p in P]))
         assert primal == pytest.approx(float(-vals.sum()), abs=1e-6)
 
 
@@ -629,8 +647,8 @@ class TestLineSearchStall:
         evaluated = []
         started = []
 
-        def stubborn(P, G, kernel, entropies, need_grad=True):
-            values, grads = real(P, G, kernel, entropies, need_grad)
+        def stubborn(P, G, kernel, entropies):
+            values, grads = real(P, G, kernel, entropies)
             if not started:  # the start point; every later call is a candidate
                 started.append(True)
                 return values, grads
@@ -677,8 +695,8 @@ class TestLineSearchStall:
         P, kernel, D, _ = self._problem()
         real, start = wcf.batch_conjugate, []
 
-        def flat(P, G, kernel, entropies, need_grad=True):
-            values, grads = real(P, G, kernel, entropies, need_grad)
+        def flat(P, G, kernel, entropies):
+            values, grads = real(P, G, kernel, entropies)
             if not start:  # every later call is a candidate
                 start.append((values, grads))
                 return values, grads
@@ -733,9 +751,9 @@ class TestInnerSolve:
         real = wcf.batch_conjugate
         sizes = []
 
-        def counting(P, G, kernel, entropies, need_grad=True):
+        def counting(P, G, kernel, entropies):
             sizes.append(G.shape[1])
-            return real(P, G, kernel, entropies, need_grad)
+            return real(P, G, kernel, entropies)
 
         monkeypatch.setattr(wcf, "batch_conjugate", counting)
         return sizes
@@ -777,8 +795,8 @@ class TestInnerSolve:
         kernel = GibbsKernel(kernel.cost, 0.5)
         real, calls = wcf.batch_conjugate, []
 
-        def capturing(P, G, kernel, entropies, need_grad=True):
-            values, grads = real(P, G, kernel, entropies, need_grad)
+        def capturing(P, G, kernel, entropies):
+            values, grads = real(P, G, kernel, entropies)
             calls.append((G.copy(), grads.copy()))  # the solve writes into grads
             return values, grads
 

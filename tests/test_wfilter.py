@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 import wassrec.transport as transport
 import wassrec.wfilter as wfilter
-from wassrec import GibbsKernel, batch_conjugate, conjugate_grad, entropy
-from wassrec.wfilter import (RankedList, UserInteractions, estimate_preference, infer_cold,
-                             rank_items, rank_order)
-from conftest import traced_peak
+from wassrec import GibbsKernel, batch_conjugate, entropy
+from wassrec.wfilter import UserInteractions, estimate_preference, infer_cold, rank_order
+from conftest import one_user_conjugate, traced_peak
 from oracles import entropic_value_many, rank_by_key
 
 
@@ -63,12 +62,12 @@ class TestInferCold:
         q = infer_cold(p, M, gamma=1e-3)
         np.testing.assert_allclose(q, p, atol=1e-3)
 
-    def test_same_code_path_as_conjugate_grad(self, movies):
+    def test_equals_a_one_column_conjugate_stack(self, movies):
         M, p0, _, _ = movies
         kernel = GibbsKernel(M, 0.05)
         direct = infer_cold(p0, kernel)
-        via_grad = conjugate_grad(p0, np.zeros(2), kernel)
-        np.testing.assert_array_equal(direct, via_grad)
+        _, via_grad = one_user_conjugate(p0, np.zeros((2, 1)), kernel)
+        np.testing.assert_array_equal(direct, via_grad[:, 0])
 
     @pytest.mark.parametrize("gamma", [1.0, 0.05, 1e-3])
     def test_matches_batched_conjugate_at_zero_potential(self, gamma):
@@ -153,31 +152,20 @@ class TestInferCold:
 
 
 class TestRankItems:
+    # one user's ranking: rank_order on a one-column stack
     def test_sorts_descending(self):
-        ranked = rank_items([0.1, 0.5, 0.4], [7, 3, 9])
-        assert ranked.item_ids == (3, 9, 7)
-        assert ranked.scores == (0.5, 0.4, 0.1)
+        order = rank_order(np.array([[0.1], [0.5], [0.4]]), [7, 3, 9])[:, 0]
+        assert order.tolist() == [1, 2, 0]  # items 3, 9, 7
 
     def test_ties_break_by_ascending_id(self):
-        ranked = rank_items([0.25, 0.5, 0.25], [30, 10, 20])
-        assert ranked.item_ids == (10, 20, 30)
+        order = rank_order(np.array([[0.25], [0.5], [0.25]]), [30, 10, 20])[:, 0]
+        assert order.tolist() == [1, 2, 0]  # items 10, 20, 30
 
     def test_rejects_duplicates_and_misalignment(self):
-        with pytest.raises(ValueError):
-            rank_items([0.5, 0.5], [1, 1])
-        with pytest.raises(ValueError):
-            rank_items([0.5, 0.5], [1, 2, 3])
-        with pytest.raises(ValueError, match="scores must be a 1-D sequence"):
-            rank_items([[0.5], [0.25]], [1, 2])
-
-    def test_ranked_list_validates(self):
-        with pytest.raises(ValueError):
-            RankedList(item_ids=(1, 2), scores=(0.1, 0.9))
-        with pytest.raises(ValueError):
-            RankedList(item_ids=(1, 1), scores=(0.9, 0.1))
-        with pytest.raises(ValueError, match="item_ids and scores must be aligned"):
-            RankedList(item_ids=(1, 2), scores=(0.9,))
-        assert len(RankedList(item_ids=(1,), scores=(1.0,))) == 1
+        with pytest.raises(ValueError, match="duplicate-free"):
+            rank_order(np.array([[0.5], [0.5]]), [1, 1])
+        with pytest.raises(ValueError, match="aligned with the s item_ids"):
+            rank_order(np.array([[0.5], [0.5]]), [1, 2, 3])
 
 
 @st.composite
@@ -200,11 +188,8 @@ class TestRankOrder:
         order = rank_order(Q, ids)
         for u in range(Q.shape[1]):
             q = Q[:, u]
-            expected = rank_by_key(q, ids)
-            ranked = rank_items(q, ids)
-            assert ranked.item_ids == tuple(ids[j] for j in expected)
-            assert ranked.scores == tuple(q[j] for j in expected)
-            assert tuple(ids[j] for j in order[:, u]) == ranked.item_ids
+            assert order[:, u].tolist() == rank_by_key(q, ids)
+            np.testing.assert_array_equal(rank_order(q[:, None], ids)[:, 0], order[:, u])
 
     def test_rejects_bad_shapes_and_duplicates(self):
         with pytest.raises(ValueError):
