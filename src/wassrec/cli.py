@@ -26,13 +26,14 @@ this module, ``dataio`` and ``exceptions``; ``evaluate`` adds
 ``metrics``; ``train`` loads every module but ``metrics``.  The solver
 and metric imports therefore sit in ``cmd_train`` and ``cmd_evaluate``.
 
-Tables are written by one writer, ``_write_table``, WRITE_BLOCK lines
-at a time.  A column that repeats few values (ids, ranks, genome
-relevances) has each distinct value formatted once; a column derived
-from the row number (a user repeated over its ranks, a tag tiled over
-the items, a score gathered through a ranking) is a ``_ByRow``,
-computed for one block of rows at a time, so a write holds one block
-plus the distinct texts beside its inputs.
+The prepared tables and the predictions are written by one writer,
+``_write_table``, WRITE_BLOCK lines at a time.  A column that repeats
+few values (ids, ranks, genome relevances) has each distinct value
+formatted once; a column derived from the row number (a user repeated
+over its ranks, a tag tiled over the items, a score gathered through a
+ranking) is a ``_ByRow``, computed for one block of rows at a time, so
+a write holds one block plus the distinct texts beside its inputs.  The
+reports have writers of their own, in ``metrics`` and ``cmd_evaluate``.
 
 Every file the pipeline writes is deterministic for fixed flags, seed
 and BLAS thread count: reruns are byte-identical.  Exit codes: 0

@@ -1,13 +1,14 @@
 """Entropic optimal transport on the probability simplex.
 
-Smoothed transport cost between histograms, an exact linear-programming
-reference for test-scale instances, and the Legendre conjugate of the
-smoothed cost in its second marginal (value and gradient).  Sinkhorn
-and the conjugate are batched over users sharing one Gibbs kernel, on
-one stabilized product that stays batched at any gamma.  The conjugate
-gradient drives wcf's dual solves; at g = 0 it is wf's cold-start
-inference, which ``wfilter.infer_cold`` computes in closed form.  A cost
-is a plain nonnegative array; the item ids of its axes stay with callers.
+Smoothed transport cost between histograms (``sinkhorn``) and the
+Legendre conjugate of the smoothed cost in its second marginal (value
+and gradient).  Sinkhorn and the conjugate are batched over users
+sharing one Gibbs kernel, on one stabilized product that stays batched
+at any gamma.  The conjugate gradient drives wcf's dual solves; at g = 0
+it is wf's cold-start inference, which ``wfilter.infer_cold`` computes
+in closed form.  A cost is a plain nonnegative array; the item ids of
+its axes stay with callers.  Histograms are checked in one place,
+``_histograms``, whether one user's or a whole stack.
 """
 
 import operator
@@ -16,25 +17,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ConvergenceError, SolverError
+from .exceptions import ConvergenceError
 
 __all__ = [
     "GibbsKernel",
     "TransportPlan",
-    "simplex",
-    "entropy",
     "sinkhorn",
     "batch_sinkhorn",
-    "exact_ot",
     "batch_conjugate",
 ]
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
-
-# Refuse exact LP solves above this many plan cells; the oracle is a
-# test dependency, not a production path.
-MAX_EXACT_CELLS = 400
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -48,36 +42,11 @@ _NEWTON_MIN_STEP = 1e-10
 _NEWTON_ARMIJO_C = 1e-4
 
 
-def simplex(weights, name: str = "weights") -> np.ndarray:
-    """Validate and renormalize a histogram onto the probability simplex.
-
-    Entries must be finite and nonnegative with positive total mass;
-    the result is a fresh float64 vector summing to 1.  Zero entries
-    are allowed, an all-zero vector is not.  The one-column case of the
-    check every batch of histograms gets.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError("%s must be a 1-D vector, got shape %s" % (name, w.shape))
-    return _histograms(w[:, None], w.size, name)[0][:, 0]
-
-
 def _xlogx(a):
     """a log a elementwise, 0 where a is 0."""
     out = np.log(a, where=a > 0, out=np.zeros_like(a))
     out *= a
     return out
-
-
-def entropy(x) -> float:
-    """Shannon entropy -sum x log x with the 0 log 0 = 0 convention.
-
-    Accepts histograms or transport plans (any nonnegative array).
-    """
-    a = np.asarray(x, dtype=np.float64)
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ValueError("entropy requires finite nonnegative entries")
-    return float(-_xlogx(a).sum())
 
 
 def _logsumexp(x):
@@ -147,12 +116,10 @@ class GibbsKernel:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """A coupling between two histograms together with its cost.
+    """An entropic coupling between two histograms together with its cost.
 
-    ``transport_cost`` is the linear cost <plan, M>; for entropic
-    solves ``regularized_value`` subtracts gamma times the plan entropy
-    (for the exact LP reference the two coincide, there is no entropy
-    term at gamma = 0).
+    ``transport_cost`` is the linear cost <plan, M>;
+    ``regularized_value`` subtracts gamma times the plan entropy.
     """
 
     plan: np.ndarray
@@ -160,15 +127,6 @@ class TransportPlan:
     regularized_value: float
     iterations: int
     marginal_violation: float
-
-
-def _check_pair(p, q, M):
-    """Validated marginals p, q and the cost matrix between them."""
-    M, p, q = _as_cost(M), simplex(p, name="p"), simplex(q, name="q")
-    if M.shape != (p.size, q.size):
-        raise ValueError("cost shape %s does not match marginals (%d, %d)"
-                         % (M.shape, p.size, q.size))
-    return p, q, M
 
 
 def _shifted_log_product(kernel, G, weights, need_grad=False, support=None):
@@ -359,6 +317,13 @@ def _scale(P, Q, kernel, tol, max_iter, G0):
                            iterations=max_iter, violation=viol)
 
 
+def _values(P, Q, F, G, R):
+    """<T_u, M> - gamma h(T_u) of each plan ``_scale`` ended at, from its
+    potentials F, G and row sums R: <f, rows of T> + <g, columns of T>."""
+    return (np.einsum("ij,ij->j", R, np.where(P > 0, F, 0.0))
+            + np.einsum("ij,ij->j", Q, np.where(Q > 0, G, 0.0)))
+
+
 def batch_sinkhorn(P, Q, kernel: GibbsKernel, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER, G0=None):
     """Smoothed transport values W_gamma(p_u, q_u) of many histogram pairs at once.
@@ -385,10 +350,7 @@ def batch_sinkhorn(P, Q, kernel: GibbsKernel, tol: float = DEFAULT_TOL,
     if not np.all(np.isfinite(G0[Q > 0])):
         raise ValueError("warm-start potentials must be finite where Q has mass")
     F, G, R, iterations, viol = _scale(P, Q, kernel, tol, max_iter, G0)
-    # <T, M> - gamma h(T) = <f, rows of T> + <g, columns of T>
-    values = (np.einsum("ij,ij->j", R, np.where(P > 0, F, 0.0))
-              + np.einsum("ij,ij->j", Q, np.where(Q > 0, G, 0.0)))
-    return values, iterations, viol
+    return _values(P, Q, F, G, R), iterations, viol
 
 
 def sinkhorn(p, q, M, gamma: float, tol: float = DEFAULT_TOL,
@@ -401,65 +363,27 @@ def sinkhorn(p, q, M, gamma: float, tol: float = DEFAULT_TOL,
     ConvergenceError (carrying the final violation) if ``max_iter``
     passes are not enough.
 
-    The one-pair case of batch_sinkhorn: one stabilized loop on the
-    dual potentials serves every gamma, without NaN where the Gibbs
-    kernel underflows.  Zero-mass entries of p and q hold potential
-    -inf, as in batch_sinkhorn, and come back as zero rows/columns.
+    The one-pair case of batch_sinkhorn: p and q are checked as
+    one-column stacks, one stabilized loop on the dual potentials serves
+    every gamma, without NaN where the Gibbs kernel underflows, and the
+    value is read off the potentials as batch_sinkhorn's.  Zero-mass
+    entries of p and q hold potential -inf, as in batch_sinkhorn, and
+    come back as zero rows/columns.
     """
-    p, q, M = _check_pair(p, q, M)
-    _check_budget(tol, max_iter)
     kernel = GibbsKernel(M, gamma)
-    F, G, _, iterations, viol = _scale(p[:, None], q[:, None], kernel, tol, max_iter,
-                                       np.zeros((q.size, 1)))
+    n, s = kernel.shape
+    P, _ = _histograms(np.asarray(p, dtype=np.float64)[..., None], n, "p")
+    Q, _ = _histograms(np.asarray(q, dtype=np.float64)[..., None], s, "q")
+    _check_budget(tol, max_iter)
+    F, G, R, iterations, viol = _scale(P, Q, kernel, tol, max_iter, np.zeros((s, 1)))
+    M = kernel.cost
     plan = np.exp((F + G.T - M) / kernel.gamma)
-    cost = float((plan * M).sum())
     return TransportPlan(
         plan=plan,
-        transport_cost=cost,
-        regularized_value=cost - kernel.gamma * entropy(plan),
+        transport_cost=float((plan * M).sum()),
+        regularized_value=float(_values(P, Q, F, G, R)[0]),
         iterations=iterations,
         marginal_violation=viol,
-    )
-
-
-def exact_ot(p, q, M) -> TransportPlan:
-    """Exact (unregularized) optimal transport via linear programming.
-
-    A reference solver for small instances: refuses problems with more
-    than MAX_EXACT_CELLS plan entries.  ``regularized_value`` equals
-    ``transport_cost`` since there is no entropy term at gamma = 0.
-    """
-    # imported here so that importing the package does not load SciPy
-    from scipy.optimize import linprog
-
-    p, q, M_full = _check_pair(p, q, M)
-    n, s = M_full.shape
-    if n * s > MAX_EXACT_CELLS:
-        raise ValueError(
-            "exact solve refused: %d plan cells exceed the cap of %d"
-            % (n * s, MAX_EXACT_CELLS)
-        )
-
-    A = np.zeros((n + s, n * s))
-    for i in range(n):
-        A[i, i * s:(i + 1) * s] = 1.0
-    for j in range(s):
-        A[n + j, j::s] = 1.0
-    b = np.concatenate([p, q])
-    res = linprog(M_full.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-    if not res.success:
-        raise SolverError("exact transport LP failed: %s" % res.message)
-    plan = res.x.reshape(n, s)
-    viol = max(
-        np.max(np.abs(plan.sum(axis=1) - p)), np.max(np.abs(plan.sum(axis=0) - q))
-    )
-    cost = float(res.fun)
-    return TransportPlan(
-        plan=plan,
-        transport_cost=cost,
-        regularized_value=cost,
-        iterations=int(getattr(res, "nit", 0)),
-        marginal_violation=float(viol),
     )
 
 
@@ -471,11 +395,18 @@ def batch_conjugate(P, G, kernel: GibbsKernel, entropies):
     its gradient exp(g / gamma) * K^T (p / K exp(g / gamma)) is a point
     on the simplex.  Columns of P (n x m) are simplex histograms with
     entropies h(p_u), trusted here because callers validate P once per
-    solve (``_histograms`` returns both); columns of G are their
-    potentials.  Values and gradients come from one stabilized product
+    solve (``_histograms`` returns both); columns of G (s x m) are their
+    potentials.  Only the shapes are checked, against the kernel's
+    (n, s).  Values and gradients come from one stabilized product
     over all users (``_shifted_log_product``), so large spreads of
     g / gamma neither overflow nor underflow.
     """
+    n, s = kernel.shape
+    shapes = np.shape(P), np.shape(G), np.shape(entropies)
+    m = shapes[0][-1] if shapes[0] else 0
+    if shapes != ((n, m), (s, m), (m,)):
+        raise ValueError("P, G and entropies must have shapes (%d, m), (%d, m) and (m,), "
+                         "got %s, %s and %s" % (n, s, *shapes))
     b, L, grads = _shifted_log_product(kernel, G, P, need_grad=True)
     values = kernel.gamma * (entropies + kernel.row_shift @ P
                              + np.einsum("ij,ij->j", P, L)) + b

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import GibbsKernel, _checked_columns, simplex
+from .transport import GibbsKernel, _checked_columns, _histograms
 
 __all__ = [
     "UserInteractions",
@@ -71,7 +71,7 @@ def estimate_preference(interactions: UserInteractions, n_items: int) -> np.ndar
         )
     dense = np.zeros(n_items, dtype=np.float64)
     dense[interactions.item_indices] = interactions.values
-    return simplex(dense, name="preference")
+    return _histograms(dense[:, None], n_items, "preference")[0][:, 0]
 
 
 def infer_cold(p, M, gamma: float | None = None) -> np.ndarray:

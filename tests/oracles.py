@@ -1,10 +1,12 @@
 """Brute-force oracles shared by the test suite.
 
 Everything here is deliberately independent of the library's solver
-internals: textbook scaling updates, dense simplex grids, exhaustive
-enumeration, ranking metrics as their formulas read, line-by-line file
-parsing, a table writer that formats every cell where it appears.  Slow and simple on purpose, so that a bug in the library and a
-bug in the oracle are unlikely to coincide.
+internals: the exact transport linear program, textbook scaling
+updates, dense simplex grids, exhaustive enumeration, ranking metrics
+as their formulas read, line-by-line file parsing, a table writer that
+formats every cell where it appears.  Slow and simple on purpose, so
+that a bug in the library and a bug in the oracle are unlikely to
+coincide.
 """
 
 import math
@@ -12,6 +14,7 @@ import warnings
 from itertools import chain
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from wassrec import DataError
@@ -48,6 +51,29 @@ def simplex_grid(s, step, interior=False):
     else:
         pts = np.array(list(compositions(levels, s)), dtype=np.int64).T
     return pts.astype(np.float64) / levels
+
+
+def entropy(x):
+    """Shannon entropy -sum x log x of a nonnegative array, 0 log 0 = 0."""
+    a = np.asarray(x, dtype=np.float64)
+    return float(-(a * np.log(np.where(a > 0, a, 1.0))).sum())
+
+
+def exact_ot(p, q, M):
+    """Exact (unregularized) optimal transport from p to q as a linear program.
+
+    The plan's n x s cells are the unknowns, row sums p and column sums
+    q the equality constraints.  Returns the optimal plan and its cost
+    <plan, M>; asserts the LP solver succeeded.
+    """
+    p, q, M = (np.asarray(a, dtype=np.float64) for a in (p, q, M))
+    n, s = M.shape
+    sums = np.vstack([np.kron(np.eye(n), np.ones(s)),   # row i of the plan
+                      np.kron(np.ones(n), np.eye(s))])  # column j of the plan
+    res = linprog(M.ravel(), A_eq=sums, b_eq=np.concatenate([p, q]), bounds=(0, None),
+                  method="highs")
+    assert res.success, res.message
+    return res.x.reshape(n, s), float(res.fun)
 
 
 def entropic_value_many(p, Q, M, gamma, tol=1e-9, max_iter=100_000):

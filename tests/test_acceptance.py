@@ -17,12 +17,11 @@ import numpy as np
 import pytest
 
 from conftest import one_user_conjugate
-from oracles import entropic_value_many, simplex_grid
+from oracles import entropic_value_many, exact_ot, simplex_grid
 from wassrec import (
     GibbsKernel,
     cold_start_split,
     evaluate_run,
-    exact_ot,
     infer_cold,
     predict_user,
     sinkhorn,
@@ -35,21 +34,21 @@ from wassrec.dataio import InteractionTable
 def test_01_worked_example_reproduction(movies):
     M, p0, q1, _ = movies
     t0 = time.monotonic()
-    lp = exact_ot(p0, q1, M)
+    _, lp_cost = exact_ot(p0, q1, M)
     smoothed = sinkhorn(p0, q1, M, gamma=1e-3, max_iter=100_000)
     elapsed = time.monotonic() - t0
-    assert abs(lp.transport_cost - 0.18) < 1e-9
+    assert abs(lp_cost - 0.18) < 1e-9
     assert abs(smoothed.transport_cost - 0.18) <= 0.005
     assert elapsed < 1.0
     print("ACCEPTANCE 1: PASS (lp cost %.12f, smoothed gap %.2e, %.2fs)"
-          % (lp.transport_cost, abs(smoothed.transport_cost - 0.18), elapsed))
+          % (lp_cost, abs(smoothed.transport_cost - 0.18), elapsed))
 
 
 def test_02_reference_cost_ordering_half(movies):
     M, p0, q1, best_plan = movies
-    lp = exact_ot(p0, q1, M)
-    assert abs(lp.transport_cost - 0.18) < 1e-9
-    np.testing.assert_allclose(lp.plan, best_plan, atol=1e-9)
+    lp_plan, lp_cost = exact_ot(p0, q1, M)
+    assert abs(lp_cost - 0.18) < 1e-9
+    np.testing.assert_allclose(lp_plan, best_plan, atol=1e-9)
     print("ACCEPTANCE 2: PASS (0.18 leg verified; the 0.545 comparison "
           "histogram exists only as a drawing, so that half of the ordering "
           "is documented rather than asserted)")

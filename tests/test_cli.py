@@ -105,7 +105,7 @@ class TestUsage:
 
     # per stage: its arguments, the stages run before it, and the
     # ``wassrec`` modules it loads besides the package and ``cli``; the
-    # runtime path is NumPy only, and SciPy is loaded only when exact_ot runs
+    # runtime path is NumPy only: the package never imports SciPy
     TRAIN_MODULES = {"dataio", "exceptions", "transport", "wcf", "wfilter"}
     STAGES = {
         "prepare": (["prepare", "--ratings", RATINGS, "--genome", GENOME], [],

@@ -1,5 +1,6 @@
 """The package namespace: every module's public names, loaded on first use."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -63,6 +64,24 @@ def test_import_loads_modules_on_first_use():
     assert proc.stdout.splitlines() == [str(["wassrec"]), str(solvers), "wassrec.metrics",
                                         str(sorted(solvers + ["wassrec.dataio",
                                                               "wassrec.metrics"]))]
+
+
+def test_imports_only_the_standard_library_and_numpy():
+    # every import statement of the package, function-level ones
+    # included: NumPy is the only runtime dependency
+    allowed = {*sys.stdlib_module_names, "numpy"}
+    outside = []
+    for path in sorted((ROOT / "src" / "wassrec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += ["%s: %s" % (path.name, name) for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []
 
 
 def test_benchmark_imports_resolve():

@@ -14,7 +14,6 @@ from wassrec import (
     UnboundedDualError,
     batch_conjugate,
     batch_sinkhorn,
-    entropy,
     infer_cold,
     sinkhorn,
 )
@@ -28,7 +27,7 @@ from wassrec.wcf import (
     save_model,
     train_wcf,
 )
-from oracles import weighted_projection
+from oracles import entropy, weighted_projection
 
 
 def conj_values_grid(p, G, M, gamma):

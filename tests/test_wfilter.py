@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import wassrec.transport as transport
 import wassrec.wfilter as wfilter
-from wassrec import GibbsKernel, batch_conjugate, entropy
+from wassrec import GibbsKernel, batch_conjugate
 from wassrec.wfilter import UserInteractions, estimate_preference, infer_cold, rank_order
 from conftest import one_user_conjugate, traced_peak
-from oracles import entropic_value_many, rank_by_key
+from oracles import entropic_value_many, entropy, rank_by_key
 
 
 class TestUserInteractions:
