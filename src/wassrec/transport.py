@@ -129,7 +129,7 @@ class TransportPlan:
     marginal_violation: float
 
 
-def _shifted_log_product(kernel, G, weights, need_grad=False, support=None):
+def _shifted_log_product(kernel, G, weights, need_grad=False):
     """b = G's column maxima and L = log(K exp(G / gamma)) - a - b / gamma.
 
     a is the kernel's ``row_shift``: kernel rows and potential columns
@@ -137,16 +137,10 @@ def _shifted_log_product(kernel, G, weights, need_grad=False, support=None):
     Cells of C below the normal float range that carry weight are
     recomputed by log-sum-exp; other such cells read 0.  With
     ``need_grad`` also the weighted softmax A_hat * K_hat^T (W / C).
-    ``support`` holds the flat indices of G's finite cells when the rest
-    are -inf; only those are exponentiated (exp is slow on -inf).
     """
     b = G.max(axis=0)
     log_A = (G - b) / kernel.gamma
-    if support is None:
-        A = np.exp(log_A)
-    else:
-        A = np.zeros_like(log_A)
-        A.put(support, np.exp(log_A.take(support)))
+    A = np.exp(log_A)
     C = kernel.shifted_kernel @ A
     low = C < _TINY
     C[low] = np.inf  # leaves these cells out of W / C and the gradient ...
@@ -213,16 +207,6 @@ def _check_budget(tol, count, name="max_iter"):
         raise ValueError("%s must be at least 1" % name)
 
 
-def _warm_start(G0, shape) -> np.ndarray:
-    """Warm-start potentials ``G0`` as a float64 array of ``shape``, zeros when None."""
-    if G0 is None:
-        return np.zeros(shape)
-    G0 = np.asarray(G0, dtype=np.float64)
-    if G0.shape != shape:
-        raise ValueError("warm-start potentials have shape %s, expected %s" % (G0.shape, shape))
-    return G0
-
-
 def _newton(p, q, f, g, cost, gamma, tol):
     """Damped Newton ascent on one pair's entropic dual, over its supports.
 
@@ -268,14 +252,13 @@ def _newton(p, q, f, g, cost, gamma, tol):
     g[cols] = x[n:]
 
 
-def _scale(P, Q, kernel, tol, max_iter, G0):
+def _scale(P, Q, kernel, tol, max_iter):
     """Log-domain Sinkhorn on all pairs: f = gamma (log p - log K e^(g/gamma)), mirrored.
 
     Returns F, G, the row sums R of the plans e^((f_i + g_j - M_ij)/gamma)
     (their columns are Q), iterations and violation.  The column
-    potentials start at ``G0`` (s x m, checked by the caller).  Zero-mass
-    entries hold potential -inf from the start, so they carry no plan
-    mass.
+    potentials start at zero; zero-mass entries hold potential -inf from
+    the start, so they carry no plan mass.
     After _NEWTON_AFTER iterations each pair still open gets a damped
     Newton solve (``_newton``) from its current potentials, and the
     scaling loop carries on from there; pairs that close before then
@@ -288,12 +271,11 @@ def _scale(P, Q, kernel, tol, max_iter, G0):
         log_Q = np.log(Q) - flip.row_shift[:, None]
     cells = np.flatnonzero(P)  # rows are checked where they carry mass
     p, users = P.ravel()[cells], cells % P.shape[1]
-    support = cells if cells.size < P.size else None  # F is -inf off P's support
-    G = np.where(Q > 0, G0, -np.inf)
+    G = np.where(Q > 0, 0.0, -np.inf)
     b, L, _ = _shifted_log_product(kernel, G, P)
     for it in range(1, max_iter + 1):
         F = gamma * (log_P - L) - b
-        b_flip, L_flip, _ = _shifted_log_product(flip, F, Q, support=support)
+        b_flip, L_flip, _ = _shifted_log_product(flip, F, Q)
         G = gamma * (log_Q - L_flip) - b_flip
         b_next, L_next, _ = _shifted_log_product(kernel, G, P)
         # rows of the plan (F, G) are p exp(delta); the next F makes them p
@@ -325,20 +307,17 @@ def _values(P, Q, F, G, R):
 
 
 def batch_sinkhorn(P, Q, kernel: GibbsKernel, tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER, G0=None):
+                   max_iter: int = DEFAULT_MAX_ITER):
     """Smoothed transport values W_gamma(p_u, q_u) of many histogram pairs at once.
 
     Columns of P (n x m) and Q (s x m) are histograms (renormalized
     here; zero entries allowed).  Each Sinkhorn step is one stabilized
     product per side for every pair, at any gamma; a pair still open
     after _NEWTON_AFTER steps gets a damped Newton finish on its dual.
-    ``G0`` (s x m) warm-starts the column potentials, which must be
-    finite where Q has mass; None starts them at zero.  Potentials that
-    already balance the pairs, such as a dual block solve's whose
-    conjugate gradients are Q, close the scaling in a few steps.
-    Returns the values <T_u, M> - gamma h(T_u) of the final plans, the
-    iterations the slowest pair needed and the worst marginal violation;
-    raises ConvergenceError if ``max_iter`` passes are not enough.
+    Every pair's potentials start at zero, as in sinkhorn.  Returns the
+    values <T_u, M> - gamma h(T_u) of the final plans, the iterations
+    the slowest pair needed and the worst marginal violation; raises
+    ConvergenceError if ``max_iter`` passes are not enough.
     """
     n, s = kernel.shape
     P, _ = _histograms(P, n, "P")
@@ -346,10 +325,7 @@ def batch_sinkhorn(P, Q, kernel: GibbsKernel, tol: float = DEFAULT_TOL,
     if P.shape[1] != Q.shape[1]:
         raise ValueError("P has %d columns but Q has %d" % (P.shape[1], Q.shape[1]))
     _check_budget(tol, max_iter)
-    G0 = _warm_start(G0, Q.shape)
-    if not np.all(np.isfinite(G0[Q > 0])):
-        raise ValueError("warm-start potentials must be finite where Q has mass")
-    F, G, R, iterations, viol = _scale(P, Q, kernel, tol, max_iter, G0)
+    F, G, R, iterations, viol = _scale(P, Q, kernel, tol, max_iter)
     return _values(P, Q, F, G, R), iterations, viol
 
 
@@ -375,7 +351,7 @@ def sinkhorn(p, q, M, gamma: float, tol: float = DEFAULT_TOL,
     P, _ = _histograms(np.asarray(p, dtype=np.float64)[..., None], n, "p")
     Q, _ = _histograms(np.asarray(q, dtype=np.float64)[..., None], s, "q")
     _check_budget(tol, max_iter)
-    F, G, R, iterations, viol = _scale(P, Q, kernel, tol, max_iter, np.zeros((s, 1)))
+    F, G, R, iterations, viol = _scale(P, Q, kernel, tol, max_iter)
     M = kernel.cost
     plan = np.exp((F + G.T - M) / kernel.gamma)
     return TransportPlan(

@@ -43,8 +43,7 @@ import numpy as np
 
 from .dataio import _check_record, _write_json
 from .exceptions import RankDeficiencyError, SolverError, UnboundedDualError
-from .transport import (GibbsKernel, _check_budget, _histograms, _positive, _warm_start,
-                        batch_conjugate, batch_sinkhorn)
+from .transport import GibbsKernel, _check_budget, _histograms, _positive, batch_conjugate
 
 __all__ = [
     "FactorModel",
@@ -80,9 +79,6 @@ _VALUE_ROUNDING = 64 * np.finfo(np.float64).eps
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-14
 _STALL_FACTOR = 1e3
-# the traced primal objective is one batched Sinkhorn solve over all users
-_OBJECTIVE_TOL = 1e-7
-_OBJECTIVE_MAX_ITER = 100_000
 # rank-deficient factor redraws before train_wcf gives up
 _RANK_RETRIES = 3
 # how far the all-ones vector may fall outside the loading row space
@@ -197,6 +193,16 @@ def _projector(B):
     return project
 
 
+def _warm_start(G0, shape) -> np.ndarray:
+    """Warm-start potentials ``G0`` as a float64 array of ``shape``, zeros when None."""
+    if G0 is None:
+        return np.zeros(shape)
+    G0 = np.asarray(G0, dtype=np.float64)
+    if G0.shape != shape:
+        raise ValueError("warm-start potentials have shape %s, expected %s" % (G0.shape, shape))
+    return G0
+
+
 def _pgd(P, G0, kernel, entropies, project, groups, block):
     """Projected Newton descent on the summed conjugate, group by group.
 
@@ -283,17 +289,6 @@ def _pgd(P, G0, kernel, entropies, project, groups, block):
     return G, grads
 
 
-def _primal_objective(D, lam, P_mat, kernel, G0):
-    """sum_u W_gamma(p_u, D lambda_u) by one batched Sinkhorn solve.
-
-    ``G0`` (s x m) starts the column potentials at those of the block
-    solve that produced the factors, which are nearly the solution's.
-    """
-    values, _, _ = batch_sinkhorn(P_mat, _clean_histogram(D @ lam), kernel,
-                                  tol=_OBJECTIVE_TOL, max_iter=_OBJECTIVE_MAX_ITER, G0=G0)
-    return float(values.sum())
-
-
 def lambda_step(D, P, kernel: GibbsKernel, G0=None):
     """Optimal loadings for a fixed dictionary, solved in the dual.
 
@@ -367,18 +362,20 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
     as converged, ``max_outer`` caps the outer passes, and ``seed``
     draws the initial dictionary.  Each half-step's dual potentials
     warm-start the next one, projected onto its constraint set.  The
-    objective trace holds the primal Sinkhorn value of the factors after
-    every half-step, two entries per outer pass; each Sinkhorn starts
-    from that half-step's potentials, which balance its users' pairs up
-    to the block solve's tolerance.  Convergence compares the ends of
-    consecutive outer passes.  If a factor goes rank deficient the
-    dictionary is redrawn (a bounded number of times), the potentials
-    restart at zero and the trace carries on.  Returns the trained
-    factors with the lowest traced objective.
+    objective trace holds the block dual value -sum_u H*_{p_u}(g_u) at
+    the potentials each half-step returns, two entries per outer pass.
+    By strong duality it is the primal sum_u W_gamma(p_u, D lambda_u)
+    of that half-step's factors where the block solve converged, and a
+    lower bound on it where the solve stopped at its pass budget (and
+    warned).  Convergence compares the ends of consecutive outer
+    passes.  If a factor goes rank deficient the dictionary is redrawn
+    (a bounded number of times), the potentials restart at zero and the
+    trace carries on.  Returns the trained factors with the lowest
+    traced objective.
     """
     _check_budget(tol, max_outer, "max_outer")
     kernel = GibbsKernel(M, gamma)
-    P_mat, _ = _histograms(np.transpose(P), kernel.shape[0])
+    P_mat, ents = _histograms(np.transpose(P), kernel.shape[0])
     m, s = P_mat.shape[1], kernel.shape[1]
     user_ids = _ids("user_ids", range(m) if user_ids is None else user_ids, m, "histograms")
     item_ids = _ids("item_ids", range(s) if item_ids is None else item_ids, s, "cost columns")
@@ -387,7 +384,7 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
 
     def score(D, lam, G):
         nonlocal best
-        trace.append(_primal_objective(D, lam, P_mat, kernel, G))
+        trace.append(-batch_conjugate(P_mat, G, kernel, ents)[0].sum())
         if best is None or trace[-1] < best[0]:
             best = (trace[-1], D, lam)
 

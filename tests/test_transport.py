@@ -517,26 +517,6 @@ class TestBatchSinkhorn:
         check()
         assert sum(count for gamma, count in repairs if gamma <= 1e-2) > 0
 
-    @pytest.mark.parametrize("gamma", [0.05, 1e-3])
-    def test_exp_on_the_support_only_changes_no_bit(self, monkeypatch, gamma):
-        # off P's support the potentials are -inf, and exp(-inf) is 0 either way
-        rng = np.random.default_rng(5)
-        M = rng.uniform(size=(9, 6)) + rng.uniform(0.0, 2.0, size=(9, 1))
-        P, Q = _histograms(rng, 9, 7, zeros=True), _histograms(rng, 6, 7, zeros=True)
-        kernel = GibbsKernel(M, gamma)
-        restricted = batch_sinkhorn(P, Q, kernel)
-        real, supports = transport._shifted_log_product, []
-
-        def everywhere(*args, support=None, **kwargs):
-            supports.append(support)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(transport, "_shifted_log_product", everywhere)
-        dense = batch_sinkhorn(P, Q, kernel)
-        assert any(support is not None for support in supports)
-        np.testing.assert_array_equal(restricted[0], dense[0])
-        assert restricted[1:] == dense[1:]
-
     @pytest.mark.parametrize("gamma", [1.0, 0.05, 1e-3])
     def test_one_pair_is_sinkhorn(self, gamma):
         rng = np.random.default_rng(31)
@@ -568,45 +548,6 @@ class TestBatchSinkhorn:
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], P[:, 0])
         assert values[1] == pytest.approx(alone[0][0], rel=1e-12)
-
-    def test_no_warm_start_is_the_zero_start(self):
-        rng = np.random.default_rng(17)
-        M = rng.uniform(size=(6, 5))
-        P, Q = _histograms(rng, 6, 4, zeros=True), _histograms(rng, 5, 4, zeros=True)
-        kernel = GibbsKernel(M, 0.05)
-        omitted, given = batch_sinkhorn(P, Q, kernel), batch_sinkhorn(P, Q, kernel, G0=None)
-        assert omitted[0].tobytes() == given[0].tobytes()
-        assert omitted[1:] == given[1:]
-
-    def test_block_solve_potentials_close_the_scaling(self):
-        # a loadings solve's potentials G balance each p_u against the
-        # conjugate gradient at G, so scaling from G has nothing left to do
-        rng = np.random.default_rng(19)
-        n, s, m = 6, 5, 7
-        kernel = GibbsKernel(rng.uniform(size=(n, s)), 0.05)
-        P = _histograms(rng, n, m, zeros=False)
-        _, G = lambda_step(rng.dirichlet(np.ones(s), size=2).T, P.T, kernel)
-        _, grads = batch_conjugate(P, G, kernel, -(P * np.log(P)).sum(axis=0))
-        warm, iterations, viol = batch_sinkhorn(P, grads, kernel, G0=G)
-        cold, cold_iterations, _ = batch_sinkhorn(P, grads, kernel, tol=1e-11)
-        assert iterations <= 2 < cold_iterations
-        assert viol < transport.DEFAULT_TOL
-        np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-9)
-
-    def test_rejects_bad_warm_start(self):
-        kernel = GibbsKernel(np.ones((2, 3)), 0.1)
-        P, Q = np.full((2, 4), 0.5), np.full((3, 4), 1 / 3)
-        with pytest.raises(ValueError, match=r"warm-start potentials have shape \(3, 3\), "
-                                             r"expected \(3, 4\)"):
-            batch_sinkhorn(P, Q, kernel, G0=np.zeros((3, 3)))
-        Q[1, 2] = 0.0
-        for bad in (np.nan, np.inf, -np.inf):
-            G0 = np.zeros((3, 4))
-            G0[1, 2] = bad  # off Q's support the start is -inf anyway
-            batch_sinkhorn(P, Q, kernel, G0=G0)
-            G0[0, 2] = bad
-            with pytest.raises(ValueError, match="must be finite where Q has mass"):
-                batch_sinkhorn(P, Q, kernel, G0=G0)
 
     def test_budget_exhaustion_raises_with_diagnostics(self, movies):
         M, p0, q1, _ = movies

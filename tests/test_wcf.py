@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import wassrec.transport as transport
 import wassrec.wcf as wcf
 from wassrec import (
     GibbsKernel,
@@ -168,8 +169,8 @@ class TestLambdaStep:
             lambda_step(np.eye(4, 2), [np.array([0.5, 0.5])], kernel)
 
     def test_dual_and_sinkhorn_traces_agree_at_optimum(self):
-        # by strong duality at the block optimum the traced primal
-        # Sinkhorn value equals the negated dual value at the potentials
+        # by strong duality at the block optimum the primal Sinkhorn
+        # value equals the negated dual value at the potentials
         rng = np.random.default_rng(14)
         M = rng.uniform(size=(3, 4))
         kernel = GibbsKernel(M, 0.1)
@@ -178,8 +179,8 @@ class TestLambdaStep:
         lam, G = lambda_step(D, P, kernel)
         vals, _ = batch_conjugate(np.stack(P, axis=1), G, kernel,
                                   np.array([entropy(p) for p in P]))
-        primal = wcf._primal_objective(D, lam, np.stack(P, axis=1), kernel, G)
-        assert primal == pytest.approx(float(-vals.sum()), abs=1e-6)
+        primal, _, _ = batch_sinkhorn(np.stack(P, axis=1), wcf._clean_histogram(D @ lam), kernel)
+        assert primal.sum() == pytest.approx(float(-vals.sum()), abs=1e-6)
 
 
 class TestDStep:
@@ -313,16 +314,28 @@ class TestTrainWcf:
 
     @staticmethod
     def _scored(monkeypatch):
-        """Record the factors, warm start and value of every traced entry."""
-        entries, real = [], wcf._primal_objective
+        """Record the factors and potentials of every half-step, in trace order."""
+        entries, real_lambda, real_d = [], wcf.lambda_step, wcf.d_step
 
-        def recording(D, lam, P_mat, kernel, G0):
-            value = real(D, lam, P_mat, kernel, G0)
-            entries.append((D, lam, G0, value))
-            return value
+        def lambda_recording(D, P, kernel, G0=None):
+            lam, G = real_lambda(D, P, kernel, G0)
+            entries.append((D, lam, G))
+            return lam, G
 
-        monkeypatch.setattr(wcf, "_primal_objective", recording)
+        def d_recording(lam, P, kernel, G0=None):
+            D, G = real_d(lam, P, kernel, G0)
+            entries.append((D, lam, G))
+            return D, G
+
+        monkeypatch.setattr(wcf, "lambda_step", lambda_recording)
+        monkeypatch.setattr(wcf, "d_step", d_recording)
         return entries
+
+    @staticmethod
+    def _dual_values(P, kernel, entries):
+        """-sum_u H*_{p_u}(g_u) at each entry's potentials, as train_wcf traces it."""
+        P_mat, ents = transport._histograms(np.transpose(P), kernel.shape[0])
+        return [-batch_conjugate(P_mat, G, kernel, ents)[0].sum() for _, _, G in entries]
 
     def test_returns_factors_of_lowest_traced_entry(self, monkeypatch):
         entries = self._scored(monkeypatch)
@@ -331,37 +344,47 @@ class TestTrainWcf:
         M = rng.uniform(size=(n, s))
         P = [rng.dirichlet(np.ones(n)) for _ in range(m)]
         model = train_wcf(P, M, k=k, gamma=0.05)
-        assert [value for *_, value in entries] == list(model.objective_trace)
-        D, lam, _, _ = min(entries, key=lambda entry: entry[-1])
+        values = self._dual_values(P, GibbsKernel(M, 0.05), entries)
+        assert values == list(model.objective_trace)
+        D, lam, _ = entries[int(np.argmin(values))]
         assert np.array_equal(model.dictionary, D)
         assert np.array_equal(model.loadings, lam)
 
-    @pytest.mark.parametrize("seed, n, s, m, k", [
+    @pytest.mark.parametrize("seed, n, s, m, k, converged", [
         # this instance's dictionary solves stop at their pass budget,
         # which the two tests above already fail on under -W error; here
         # only the trace's values are checked
-        pytest.param(13, 3, 5, 8, 2, id="rank-2", marks=pytest.mark.filterwarnings(
+        pytest.param(13, 3, 5, 8, 2, False, id="rank-2", marks=pytest.mark.filterwarnings(
             "ignore:dictionary dual solve stopped:UserWarning")),
-        pytest.param(7, 6, 5, 10, 5, id="k-equals-s"),
+        pytest.param(7, 6, 5, 10, 5, True, id="k-equals-s"),
     ])
-    def test_trace_matches_converged_reference(self, monkeypatch, seed, n, s, m, k):
-        # every entry starts its Sinkhorn from the half-step's
-        # potentials and still lands on the cold solve's value
+    def test_trace_matches_converged_reference(self, monkeypatch, seed, n, s, m, k, converged):
+        # the trace is the block dual value: by weak duality never above
+        # the primal of the half-step's factors, and by strong duality
+        # equal to it where the block solves converge; a solve stopped
+        # at its pass budget leaves its entry below, but the last entry
+        # still lands on the cold solve's value
         entries = self._scored(monkeypatch)
         rng = np.random.default_rng(seed)
         M = rng.uniform(size=(n, s))
         P = np.stack([rng.dirichlet(np.ones(n)) for _ in range(m)], axis=1)
         kernel = GibbsKernel(M, 0.05)
         model = train_wcf(P.T, M, k=k, gamma=0.05)
-        assert all(G0 is not None for _, _, G0, _ in entries)
-        for (D, lam, _, _), value in zip(entries, model.objective_trace):
-            reference, _, _ = batch_sinkhorn(P, wcf._clean_histogram(D @ lam), kernel, tol=1e-11)
-            assert value == pytest.approx(reference.sum(), rel=1e-6)
+        trace = model.objective_trace
+        references = [batch_sinkhorn(P, wcf._clean_histogram(D @ lam), kernel, tol=1e-11)[0].sum()
+                      for D, lam, _ in entries]
+        assert len(references) == len(trace)
+        for value, reference in zip(trace, references):
+            assert value <= reference + 1e-8
+        pinned = range(len(trace)) if converged else [-1]
+        for i in pinned:
+            assert trace[i] == pytest.approx(references[i], rel=1e-6)
 
     @pytest.mark.parametrize("deficient_draws", [0, 1], ids=["first-draw", "after-redraw"])
     def test_one_outer_pass_traces_two_trained_entries(self, monkeypatch, deficient_draws):
         # the trace starts after the first lambda_step: no entry scores
-        # a random draw, and each starts from its half-step's potentials
+        # a random draw, and each is the dual value at its half-step's
+        # potentials
         entries = self._scored(monkeypatch)
         draws, real_init = [], wcf.init_factors
 
@@ -383,7 +406,21 @@ class TestTrainWcf:
         assert len(draws) == deficient_draws + 1
         assert len([w for w in record if "redrawing" in str(w.message)]) == deficient_draws
         assert len(model.objective_trace) == len(entries) == 2
-        assert all(G0 is not None for _, _, G0, _ in entries)
+        assert self._dual_values(P, GibbsKernel(M, 0.05), entries) == list(model.objective_trace)
+
+    @pytest.mark.filterwarnings("ignore:dictionary dual solve stopped:UserWarning")
+    def test_runs_no_sinkhorn(self, monkeypatch):
+        # the trace reads the block dual values, so training never scales
+        def refuse(*args):
+            raise AssertionError("train_wcf ran a Sinkhorn solve")
+
+        monkeypatch.setattr(transport, "_scale", refuse)
+        for seed, n, s, m, k in [(7, 6, 5, 10, 5), (13, 3, 5, 8, 2)]:
+            rng = np.random.default_rng(seed)
+            M = rng.uniform(size=(n, s))
+            P = [rng.dirichlet(np.ones(n)) for _ in range(m)]
+            model = train_wcf(P, M, k=k, gamma=0.05)
+            assert len(model.objective_trace) >= 2
 
     def test_user_and_item_ids_attached(self):
         rng = np.random.default_rng(2)
