@@ -26,6 +26,14 @@ this module, ``dataio`` and ``exceptions``; ``evaluate`` adds
 ``metrics``; ``train`` loads every module but ``metrics``.  The solver
 and metric imports therefore sit in ``cmd_train`` and ``cmd_evaluate``.
 
+``train`` goes through a fold by blocks of ``INFER_BLOCK`` users, the
+blocks ``infer_cold`` forms its products over: wf builds one block's
+histograms and infers its scores, and both algorithms rank one block at
+a time into the fold's ranking.  Beside the fold's data, cost, scores
+and ranking, wf holds one block of users, never the n x m histogram
+stack; wcf trains on that whole stack.  The genome is dropped once the
+last fold's cost is built.
+
 The prepared tables and the predictions are written by one writer,
 ``_write_table``, WRITE_BLOCK lines at a time.  A column that repeats
 few values (ids, ranks, genome relevances) has each distinct value
@@ -179,18 +187,30 @@ def cmd_prepare(args) -> int:
 
 
 def _fold_histograms(split):
-    """Trainable users, ascending, and their preference histograms as columns.
+    """Trainable users, ascending, and a builder of their preference histograms.
 
-    Histograms are over the fold's interacted items, scaled to mass 1
-    (the solvers validate every column).  Users whose every interaction
-    fell on cold items have no training signal and are left out.
+    ``histograms(cols)`` is the n x k stack of the k users in the slice
+    ``cols`` of that list, one column each: a user's histogram is over
+    the fold's interacted items, scaled to mass 1 (the solvers validate
+    every column).  Any column range equals the same columns of the
+    whole range bit for bit, so the stack can be built one block of
+    users at a time.  Users whose every interaction fell on cold items
+    have no training signal and are left out.
     """
     users, column = _unique_inverse(split.train.user_ids)
     interacted = np.asarray(split.interacted_items, dtype=np.int64)
-    H = np.zeros((users.size, interacted.size))
-    H[column, np.searchsorted(interacted, split.train.item_ids)] = split.train.ratings
-    H /= H.sum(axis=1, keepdims=True)
-    return users.tolist(), H.T
+    item = np.searchsorted(interacted, split.train.item_ids)
+    ratings = split.train.ratings
+
+    def histograms(cols):
+        start, stop, _ = cols.indices(users.size)
+        rows = (column >= start) & (column < stop)
+        H = np.zeros((stop - start, interacted.size))
+        H[column[rows] - start, item[rows]] = ratings[rows]
+        H /= H.sum(axis=1, keepdims=True)
+        return H.T
+
+    return users.tolist(), histograms
 
 
 def _distinct(values):
@@ -258,8 +278,9 @@ def _write_table(path, header, fields, *columns) -> None:
 
 
 def cmd_train(args) -> int:
+    from .transport import GibbsKernel
     from .wcf import _clean_histogram, save_model, train_wcf
-    from .wfilter import infer_cold, rank_order
+    from .wfilter import INFER_BLOCK, infer_cold, rank_order
 
     out = args.out
     table = load_interactions(out / "prepared" / "interactions.tsv")
@@ -274,7 +295,7 @@ def cmd_train(args) -> int:
         run_dir = out / "runs" / args.algorithm / ("fold%d" % split.fold)
         run_dir.mkdir(parents=True, exist_ok=True)
 
-        users, P = _fold_histograms(split)
+        users, histograms = _fold_histograms(split)
         dropped = np.count_nonzero(np.isin(split.test.users, users, assume_unique=True,
                                            invert=True))
         if dropped:
@@ -282,28 +303,39 @@ def cmd_train(args) -> int:
                   % (split.fold, dropped), file=sys.stderr)
 
         cost = build_cost_matrix(genome, split.interacted_items, split.cold_items)
-        s, n = len(split.cold_items), len(split.interacted_items)
+        if split is splits[-1]:
+            del genome  # no later fold builds a cost from it
+        s, n, m = len(split.cold_items), len(split.interacted_items), len(users)
+        # user blocks at multiples of INFER_BLOCK, the products infer_cold runs
+        blocks = [slice(start, start + INFER_BLOCK) for start in range(0, m, INFER_BLOCK)]
         if args.algorithm == "wf":
-            Q = infer_cold(P, cost, args.gamma)
+            kernel = GibbsKernel(cost, args.gamma)
+            Q = np.empty((s, m))
+            for cols in blocks:
+                Q[:, cols] = infer_cold(histograms(cols), kernel)
+            del kernel
         else:
-            k = min(args.latent_dim, s, n, len(users))
+            k = min(args.latent_dim, s, n, m)
             if k < args.latent_dim:
                 print("fold %d: latent dim clamped to %d (%d cold items, "
                       "%d interacted items, %d users)"
-                      % (split.fold, k, s, n, len(users)), file=sys.stderr)
-            model = train_wcf(P.T, cost, k=k, gamma=args.gamma, tol=args.tol,
-                              max_outer=args.max_outer, seed=args.seed, user_ids=users,
-                              item_ids=split.cold_items)
+                      % (split.fold, k, s, n, m), file=sys.stderr)
+            model = train_wcf(histograms(slice(None)).T, cost, k=k, gamma=args.gamma,
+                              tol=args.tol, max_outer=args.max_outer, seed=args.seed,
+                              user_ids=users, item_ids=split.cold_items)
             save_model(model, run_dir / "model")
             trace = model.objective_trace
             print("fold %d: objective %.6g -> %.6g over %d half-steps"
                   % (split.fold, trace[0], trace[-1], len(trace)))
             Q = _clean_histogram(model.dictionary @ model.loadings)
-        del P, cost  # not held while the predictions are ranked and written
+        del histograms, cost  # not held while the predictions are ranked and written
 
-        # one block per user, ascending: every cold item by rank, best first;
+        # row u: user u's cold items by rank, best first, as rows of Q; raveled,
         # row r is user r // s's rank r % s + 1, and ranked[r] its item's row of Q
-        ranked = rank_order(Q, split.cold_items).T.ravel()
+        ranked = np.empty((m, s), dtype=np.intp)
+        for cols in blocks:
+            ranked[cols] = rank_order(Q[:, cols], split.cold_items).T
+        ranked = ranked.ravel()
         rows = ranked.size
         _write_table(run_dir / "predictions.tsv", PREDICTION_HEADER + "\n",
                      ("%d\t", "%d\t", "%d\t", "%.17g\n"),
@@ -312,7 +344,7 @@ def cmd_train(args) -> int:
                      (split.cold_items, ranked),
                      _ByRow(rows, lambda r: Q[ranked[r], r // s]))
         print("fold %d: wrote %d rankings -> %s"
-              % (split.fold, len(users), run_dir / "predictions.tsv"))
+              % (split.fold, m, run_dir / "predictions.tsv"))
         del Q, ranked  # not held through the next fold's solve
     return 0
 

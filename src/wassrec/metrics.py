@@ -149,7 +149,8 @@ def evaluate_run(predictions, test_interactions, scope: int = 20,
 def write_report_files(reports, per_user_path, summary_path) -> None:
     """Serialize reports as two TSV files, one user row and one fold row each.
 
-    Rows are sorted and floats fixed-format, so identical runs produce
+    Rows are sorted and floats written as ``%.17g``, 17 significant
+    digits that read back to the same value, so identical runs produce
     byte-identical files.
     """
     reports = sorted(reports, key=lambda r: (r.fold is not None, r.fold))

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 import wassrec.cli as cli
+import wassrec.wfilter as wfilter
 from wassrec import (
     DataError,
     GibbsKernel,
     SolverError,
     UnboundedDualError,
+    binarize,
     build_cost_matrix,
     cold_start_split,
     infer_cold,
@@ -46,6 +48,36 @@ def run_pipeline(out, algorithms=("wf", "wcf")):
 def snapshot(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def write_catalog(path, rng, users, items, per_user, tags, low_star=1):
+    """Write ``u.data`` and ``genome.csv`` of a random catalog into ``path``.
+
+    Each user rates ``per_user`` distinct items with stars from
+    ``low_star`` to 5; every item gets ``tags`` uniform relevances.
+    """
+    rated = np.argsort(rng.uniform(size=(users, items)), axis=1)[:, :per_user] + 1
+    user_col = np.repeat(np.arange(1, users + 1), per_user)
+    stars = rng.integers(low_star, 6, size=user_col.size)
+    stamps = 880_000_000 + np.arange(user_col.size)
+    np.savetxt(path / "u.data", np.column_stack([user_col, rated.ravel(), stars, stamps]),
+               fmt="%d", delimiter="\t")
+    item_col, tag_col = np.divmod(np.arange(items * tags), tags)
+    np.savetxt(path / "genome.csv",
+               np.column_stack([item_col + 1, tag_col + 1, rng.uniform(size=items * tags)]),
+               fmt=["%d", "%d", "%.4f"], delimiter=",", header="movieId,tagId,relevance",
+               comments="")
+
+
+def whole_histograms(split):
+    """The fold's users and their n x m histogram stack, built in one piece."""
+    users = np.unique(split.train.user_ids)
+    interacted = np.asarray(split.interacted_items)
+    H = np.zeros((users.size, interacted.size))
+    H[np.searchsorted(users, split.train.user_ids),
+      np.searchsorted(interacted, split.train.item_ids)] = split.train.ratings
+    H /= H.sum(axis=1, keepdims=True)
+    return users, H.T
 
 
 @pytest.fixture(scope="module")
@@ -342,19 +374,8 @@ class TestTrain:
     def test_wf_rankings_do_not_depend_on_blas_threads(self, tmp_path):
         # BLAS threading may reorder floating-point sums, so score bytes
         # can differ between thread counts; the rankings must not
-        rng = np.random.default_rng(7)
-        users, items, per_user, tags = 300, 600, 60, 100
-        rated = np.argsort(rng.uniform(size=(users, items)), axis=1)[:, :per_user] + 1
-        user_col = np.repeat(np.arange(1, users + 1), per_user)
-        stars = rng.integers(1, 6, size=user_col.size)
-        stamps = 880_000_000 + np.arange(user_col.size)
-        np.savetxt(tmp_path / "u.data", np.column_stack([user_col, rated.ravel(), stars, stamps]),
-                   fmt="%d", delimiter="\t")
-        item_col, tag_col = np.divmod(np.arange(items * tags), tags)
-        np.savetxt(tmp_path / "genome.csv",
-                   np.column_stack([item_col + 1, tag_col + 1, rng.uniform(size=items * tags)]),
-                   fmt=["%d", "%d", "%.4f"], delimiter=",", header="movieId,tagId,relevance",
-                   comments="")
+        write_catalog(tmp_path, np.random.default_rng(7), users=300, items=600, per_user=60,
+                      tags=100)
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         orders = []
         for threads in ("1", "2"):
@@ -371,6 +392,83 @@ class TestTrain:
             orders.append([tuple(line.split("\t")[:3]) for line in lines])
         assert len(orders[0]) > 1
         assert orders[0] == orders[1]
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_wf_blocks_equal_one_whole_stack_inference(self, tmp_path, monkeypatch, block):
+        # train infers and ranks INFER_BLOCK users at a time; the fixture's
+        # folds hold 3 and 4 users, so each width leaves a ragged last block
+        monkeypatch.setattr(wfilter, "INFER_BLOCK", block)
+        out = tmp_path / "o"
+        assert main(["prepare", "--ratings", RATINGS, "--genome", GENOME,
+                     "--out", str(out)]) == 0
+        assert main(["train", "--algorithm", "wf", "--out", str(out)]) == 0
+        table = load_interactions(out / "prepared" / "interactions.tsv")
+        genome = load_genome(out / "prepared" / "genome.csv")
+        ragged = 0
+        for split in cold_start_split(table, ratio="3:1", seed=0):
+            users, P = whole_histograms(split)
+            ragged += users.size % block != 0
+            cost = build_cost_matrix(genome, split.interacted_items, split.cold_items)
+            Q = infer_cold(P, cost, 0.05)
+            order = rank_order(Q, split.cold_items)
+            cold, s = np.asarray(split.cold_items), len(split.cold_items)
+            lines = (out / "runs" / "wf" / ("fold%d" % split.fold)
+                     / "predictions.tsv").read_text().splitlines()[1:]
+            got = np.array([line.split("\t") for line in lines])
+            np.testing.assert_array_equal(got[:, :3].astype(np.int64), np.column_stack([
+                np.repeat(users, s), np.tile(np.arange(1, s + 1), users.size),
+                cold[order.T.ravel()]]))
+            want = np.take_along_axis(Q, order, axis=0).T.ravel()
+            assert got[:, 3].astype(float).tobytes() == want.tobytes()
+        assert ragged
+
+    def test_histogram_blocks_equal_the_whole_stack(self, tmp_path):
+        # every column range of the builder, ragged ends and ranges past the
+        # last user included, is the same columns of one whole-stack build
+        write_catalog(tmp_path, np.random.default_rng(8), users=300, items=200, per_user=9,
+                      tags=4)
+        table = binarize(load_interactions(tmp_path / "u.data"))
+        split = cold_start_split(table, ratio="3:1", seed=1)[0]
+        users, histograms = cli._fold_histograms(split)
+        whole = histograms(slice(None))
+        expected_users, P = whole_histograms(split)
+        assert users == expected_users.tolist()
+        assert whole.tobytes() == P.tobytes()
+        m = len(users)
+        assert m % 128 and m > 128
+        edges = [0, 1, 2, 127, 128, 129, m - 1, m, m + 5]
+        for start in edges[:-2]:
+            for stop in edges[edges.index(start) + 1:]:
+                cols = slice(start, stop)
+                assert histograms(cols).tobytes() == whole[:, cols].tobytes(), cols
+        for block in (2, 3, 128):
+            for start in range(0, m, block):
+                cols = slice(start, start + block)
+                assert histograms(cols).tobytes() == whole[:, cols].tobytes(), cols
+
+    def test_wf_train_holds_one_user_block_not_the_histogram_stack(self, tmp_path):
+        # beside the fold's data and the genome, wf train holds its cost and
+        # kernel (n x s each) while it infers, the s x m scores and ranking,
+        # and one block of users; the n x m histogram stack would not fit
+        write_catalog(tmp_path, np.random.default_rng(9), users=600, items=800, per_user=12,
+                      tags=20, low_star=4)
+        out = tmp_path / "o"
+        assert main(["prepare", "--ratings", str(tmp_path / "u.data"),
+                     "--genome", str(tmp_path / "genome.csv"), "--out", str(out)]) == 0
+        table = load_interactions(out / "prepared" / "interactions.tsv")
+        genome = load_genome(out / "prepared" / "genome.csv")
+        split = cold_start_split(table, ratio="3:1", seed=1)[0]
+        n, s = len(split.interacted_items), len(split.cold_items)
+        m = np.unique(split.train.user_ids).size
+        assert m >= 4 * wfilter.INFER_BLOCK
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(["train", "--algorithm", "wf", "--folds",
+                                                      "1", "--seed", "1", "--out", str(out)])))
+        assert codes == [0]
+        # the table and the split's rows, four 8-byte columns each, and the genome
+        data = 2 * len(table) * 32 + genome.relevance.nbytes
+        assert peak <= 8 * (2 * n * s + 2 * s * m + n * wfilter.INFER_BLOCK) + data + 2**18
+        assert 8 * n * m > data + 2**18  # the stack alone outgrows both allowances
 
     def test_wcf_trace_of_a_peaked_pair_finishes(self, tmp_path):
         # pins that the seed-1 run over two folds trains and exits 0.
