@@ -3,7 +3,6 @@
 __all__ = [
     "DataError",
     "SolverError",
-    "ConvergenceError",
     "UnboundedDualError",
     "RankDeficiencyError",
 ]
@@ -14,25 +13,7 @@ class DataError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Raised when an iterative solver fails for a reason other than iteration budget."""
-
-
-class ConvergenceError(SolverError):
-    """Raised when an iterative solver exhausts its budget before reaching tolerance.
-
-    Attributes
-    ----------
-    iterations : int
-        Number of iterations performed.
-    violation : float
-        Final residual (marginal violation for matrix scaling, gradient
-        norm for first-order solvers).
-    """
-
-    def __init__(self, message, iterations=None, violation=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.violation = violation
+    """Raised when a solver cannot return a usable result for the inputs it was given."""
 
 
 class UnboundedDualError(SolverError, ValueError):

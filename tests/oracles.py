@@ -130,36 +130,77 @@ def entropic_value_many(p, Q, M, gamma, tol=1e-9, max_iter=100_000):
     )
 
 
-def entropic_value(p, q, M, gamma, tol=1e-9, max_iter=100_000):
-    """Single-column convenience wrapper around entropic_value_many."""
-    return float(
-        entropic_value_many(p, np.asarray(q, float)[:, None], M, gamma, tol, max_iter)[0]
-    )
-
-
 def sinkhorn_lse(p, q, M, gamma, tol=1e-10, max_iter=100_000):
-    """Entropy-smoothed transport value W_gamma(p, q) by log-domain Sinkhorn.
+    """Entropy-smoothed transport value W_gamma(p, q) and plan by log-domain Sinkhorn.
 
     One problem, restricted to the supports of p and q; each update of
     a dual potential is a direct log-sum-exp over the log kernel, so
     any gamma works.  Stops once the plan's row sums are within ``tol``
     (its columns are exact after each update) and returns
-    <T, M> - gamma h(T) of that plan.
+    <T, M> - gamma h(T) of that plan T, and T with zero rows and
+    columns off the supports.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    M = np.asarray(M, dtype=np.float64)
+    rows, cols = p > 0, q > 0
+    p, q, C = p[rows], q[cols], M[np.ix_(rows, cols)]
+    f = np.zeros(p.size)
+    g = np.zeros(q.size)
+    for _ in range(max_iter):
+        f = gamma * (np.log(p) - logsumexp((g[None, :] - C) / gamma, axis=1))
+        g = gamma * (np.log(q) - logsumexp((f[:, None] - C) / gamma, axis=0))
+        log_T = (f[:, None] + g[None, :] - C) / gamma
+        T = np.exp(log_T)
+        if np.abs(T.sum(axis=1) - p).max() < tol:
+            plan = np.zeros(M.shape)
+            plan[np.ix_(rows, cols)] = T
+            return float((T * C).sum() + gamma * (T * log_T).sum()), plan
+    raise RuntimeError("oracle: no convergence after %d iterations" % max_iter)
+
+
+def semidual_value(p, q, M, gamma, tol=1e-10, max_steps=100):
+    """Entropy-smoothed transport value W_gamma(p, q) by Newton ascent on the semi-dual.
+
+    W_gamma(p, q) = max_g <g, q> - H*_p(g), where H*_p(g) = gamma (h(p)
+    + sum_i p_i log sum_j exp((g_j - M_ij) / gamma)) is the conjugate
+    written out by log-sum-exp.  The unknowns are g on q's support, all
+    but the last, which stays at 0 (the objective is flat along g + c);
+    rows outside p's support carry no weight.  Each step solves with the
+    exact Hessian (1/gamma) sum_i p_i (diag pi_i - pi_i pi_i^T), pi_i
+    row i's softmax, and backtracks by halves until the objective does
+    not fall.  Stops once every entry of the gradient q - sum_i p_i pi_i
+    is below ``tol``.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     rows, cols = p > 0, q > 0
     p, q, M = p[rows], q[cols], np.asarray(M, dtype=np.float64)[np.ix_(rows, cols)]
-    f = np.zeros(p.size)
+    h = entropy(p)
+
+    def objective(g):
+        logits = (g[None, :] - M) / gamma
+        lse = logsumexp(logits, axis=1)
+        return g @ q - gamma * (h + p @ lse), np.exp(logits - lse[:, None])
+
     g = np.zeros(q.size)
-    for _ in range(max_iter):
-        f = gamma * (np.log(p) - logsumexp((g[None, :] - M) / gamma, axis=1))
-        g = gamma * (np.log(q) - logsumexp((f[:, None] - M) / gamma, axis=0))
-        log_T = (f[:, None] + g[None, :] - M) / gamma
-        T = np.exp(log_T)
-        if np.abs(T.sum(axis=1) - p).max() < tol:
-            return float((T * M).sum() + gamma * (T * log_T).sum())
-    raise RuntimeError("oracle: no convergence after %d iterations" % max_iter)
+    value, pi = objective(g)
+    for _ in range(max_steps):
+        grad = q - p @ pi
+        if np.abs(grad).max() < tol:
+            return float(value)
+        hess = (np.diag(p @ pi) - (p[:, None] * pi).T @ pi) / gamma
+        step = np.append(np.linalg.solve(hess[:-1, :-1], grad[:-1]), 0.0)
+        t = 1.0
+        while True:
+            trial, trial_pi = objective(g + t * step)
+            if trial >= value:
+                break
+            t *= 0.5
+            if t < 1e-12:
+                raise RuntimeError("oracle: Newton line search stalled")
+        g, value, pi = g + t * step, trial, trial_pi
+    raise RuntimeError("oracle: no convergence after %d Newton steps" % max_steps)
 
 
 def conjugate_lse(p, g, M, gamma):

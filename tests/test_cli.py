@@ -473,8 +473,8 @@ class TestTrain:
     def test_wcf_trace_of_a_peaked_pair_finishes(self, tmp_path):
         # pins that the seed-1 run over two folds trains and exits 0.
         # Its random draw leaves one user a peaked 2 x 2 transport
-        # support that the trace does not score, so no solve here
-        # reaches the Newton finish; test_transport.py pins that finish
+        # support; the trace reads block dual values, so no primal
+        # transport problem is solved for it
         out = tmp_path / "o"
         assert main(["prepare", "--ratings", RATINGS, "--genome", GENOME,
                      "--out", str(out)]) == 0

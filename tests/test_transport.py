@@ -6,17 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wassrec.transport as transport
-from wassrec import (
-    ConvergenceError,
-    GibbsKernel,
-    batch_conjugate,
-    batch_sinkhorn,
-    infer_cold,
-    lambda_step,
-    sinkhorn,
-)
+from wassrec import GibbsKernel, batch_conjugate, infer_cold, lambda_step
 from conftest import one_user_conjugate
-from oracles import (conjugate_lse, entropic_value, entropic_value_many, entropy, exact_ot,
+from oracles import (conjugate_lse, entropic_value_many, entropy, exact_ot, semidual_value,
                      simplex_grid, sinkhorn_lse)
 
 
@@ -105,142 +97,26 @@ class TestExact:
             assert plan.min() >= -1e-12
 
 
-class TestSinkhorn:
-    def test_zero_cost_gives_product_plan(self):
-        p = np.array([0.3, 0.7])
-        q = np.array([0.2, 0.3, 0.5])
-        res = sinkhorn(p, q, np.zeros((2, 3)), gamma=0.5)
-        np.testing.assert_allclose(res.plan, np.outer(p, q), atol=1e-12)
-        assert res.transport_cost == pytest.approx(0.0, abs=1e-12)
-
-    def test_single_row(self):
-        q = np.array([0.25, 0.75])
-        res = sinkhorn([1.0], q, np.array([[0.4, 0.9]]), gamma=0.05)
-        np.testing.assert_allclose(res.plan[0], q, atol=1e-9)
-
-    def test_movie_instance_small_gamma_matches_exact(self, movies):
-        M, p0, q1, best = movies
-        res = sinkhorn(p0, q1, M, gamma=1e-3)
-        assert abs(res.transport_cost - 0.18) <= 1e-3
-        np.testing.assert_allclose(res.plan, best, atol=1e-3)
-
-    @pytest.mark.parametrize("gamma", [1.0, 0.05, 0.005])
-    def test_marginal_feasibility(self, gamma):
-        rng = np.random.default_rng(23)
-        for _ in range(3):
-            n, s = rng.integers(2, 6), rng.integers(2, 6)
+class TestSmoothedOracles:
+    # the three primal references the suite checks the dual against:
+    # plain scaling, log-domain Sinkhorn and Newton on the semi-dual
+    @pytest.mark.parametrize("gamma", [0.5, 0.1, 0.05])
+    def test_values_agree(self, gamma):
+        rng = np.random.default_rng(17)
+        for _ in range(4):
+            n, s = (int(v) for v in rng.integers(2, 7, size=2))
+            M = rng.uniform(size=(n, s))
             p = rng.dirichlet(np.ones(n))
             q = rng.dirichlet(np.ones(s))
-            res = sinkhorn(p, q, rng.uniform(size=(n, s)), gamma=gamma)
-            assert res.marginal_violation < 1e-8
-            np.testing.assert_allclose(res.plan.sum(axis=1), p, atol=2e-8)
-            np.testing.assert_allclose(res.plan.sum(axis=0), q, atol=2e-8)
-            assert res.plan.min() >= 0
-
-    def test_zero_mass_entries_restrict_support(self):
-        p = np.array([0.5, 0.0, 0.5])
-        q = np.array([0.0, 0.4, 0.6])
-        rng = np.random.default_rng(3)
-        res = sinkhorn(p, q, rng.uniform(size=(3, 3)), gamma=0.1)
-        assert np.all(res.plan[1, :] == 0.0)
-        assert np.all(res.plan[:, 0] == 0.0)
-        np.testing.assert_allclose(res.plan.sum(axis=1), p, atol=1e-8)
-
-    def test_value_matches_independent_evaluator(self):
-        rng = np.random.default_rng(5)
-        for gamma in (0.5, 0.05):
-            p = rng.dirichlet(np.ones(4))
-            q = rng.dirichlet(np.ones(3))
-            M = rng.uniform(size=(4, 3))
-            res = sinkhorn(p, q, M, gamma=gamma, tol=1e-10)
-            ref = entropic_value(p, q, M, gamma, tol=1e-11)
-            assert res.regularized_value == pytest.approx(ref, abs=1e-7)
-
-    def test_cost_decreases_toward_exact_as_gamma_shrinks(self):
-        rng = np.random.default_rng(42)
-        for _ in range(3):
-            p = rng.dirichlet(np.ones(4))
-            q = rng.dirichlet(np.ones(4))
-            M = rng.uniform(size=(4, 4))
-            _, exact_cost = exact_ot(p, q, M)
-            costs = [
-                sinkhorn(p, q, M, gamma=g).transport_cost for g in (0.1, 0.01, 0.001)
-            ]
-            # the scaling plan is feasible only to the marginal tolerance,
-            # so its linear cost may undershoot the LP optimum by a hair
-            assert costs[0] >= costs[1] >= costs[2] >= exact_cost - 1e-7
-            assert costs[2] - exact_cost <= 1e-2
-
-    def test_log_domain_used_for_tiny_gamma(self, movies):
-        # gamma = 1e-4 underflows exp(-M/gamma) completely; the plain
-        # scaling iteration cannot even start, so this exercises the
-        # log-domain path end to end.
-        M, p0, q1, _ = movies
-        assert (-M / 1e-4).min() < math.log(np.finfo(float).tiny)
-        res = sinkhorn(p0, q1, M, gamma=1e-4, max_iter=200_000)
-        assert res.marginal_violation < 1e-8
-        assert abs(res.transport_cost - 0.18) <= 1e-3
-
-    def test_peaked_two_by_two_converges_at_default_tolerance(self):
-        # the kernel's cross-ratio on this support is eta = K11 K22 /
-        # (K12 K21) ~ e^24, so Sinkhorn's rate ((sqrt eta - 1) / (sqrt eta
-        # + 1))^2 is 1 - 2.5e-5 and scaling alone needs over 100,000
-        # iterations; the Newton finish closes the pair at the switch.
-        # The optimal plan is [[x, 1/2 - x], [1/2 - x, x]] with
-        # x / (1/2 - x) = sqrt(eta)
-        M = np.array([[0.060, 0.748], [0.911, 0.401]])
-        res = sinkhorn([0.5, 0.5], [0.5, 0.5], M, gamma=0.05)
-        assert res.iterations == transport._NEWTON_AFTER + 1
-        assert res.marginal_violation < transport.DEFAULT_TOL
-        root = math.exp((M[0, 1] + M[1, 0] - M[0, 0] - M[1, 1]) / 0.05 / 2)
-        x = root / (2 * (1 + root))
-        np.testing.assert_allclose(res.plan, [[x, 0.5 - x], [0.5 - x, x]], atol=1e-12)
-
-    def test_singular_newton_step_leaves_the_pair_to_sinkhorn(self):
-        # at gamma 0.01 the off-diagonal plan cells underflow to 0, so
-        # the supports split into two blocks and the Newton system is
-        # singular along the first block's shift
-        p = np.array([0.5, 0.5])
-        f, g = np.zeros(2), np.array([0.1, 0.0])
-        transport._newton(p, p, f, g, np.array([[0.0, 50.0], [50.0, 0.0]]), 0.01, 1e-8)
-        np.testing.assert_array_equal(g, [0.1, 0.0])
-
-    def test_budget_exhaustion_raises_with_diagnostics(self, movies):
-        M, p0, q1, _ = movies
-        for budget in (1, np.int64(1)):
-            with pytest.raises(ConvergenceError) as exc:
-                sinkhorn(p0, q1, M, gamma=0.05, max_iter=budget)
-            assert exc.value.iterations == 1
-            assert exc.value.violation > 0
-
-    def test_rejects_bad_parameters(self, movies):
-        M, p0, q1, _ = movies
-        with pytest.raises(ValueError):
-            sinkhorn(p0, q1, M, gamma=0.0)
-        with pytest.raises(ValueError):
-            sinkhorn(p0, q1, M, gamma=0.1, tol=-1.0)
-        with pytest.raises(ValueError, match=r"p must have shape \(%d, m >= 1\), got \(%d, 1\)$"
-                                             % (M.shape[0], q1.size)):
-            sinkhorn(q1, p0, M, gamma=0.1)
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            sinkhorn(p0, q1, M, gamma=0.1, max_iter=0)
-        for budget in (2.5, 2.0):  # not a bare TypeError from range()
-            with pytest.raises(TypeError, match=r"max_iter must be an integer, got %r$" % budget):
-                sinkhorn(p0, q1, M, gamma=0.1, max_iter=budget)
-
-    @pytest.mark.parametrize("tol", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_rejects_non_finite_tol(self, movies, tol):
-        # NaN never converges and inf would stop after one pass
-        M, p0, q1, _ = movies
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            sinkhorn(p0, q1, M, gamma=0.1, tol=tol)
-
-    def test_deterministic(self, movies):
-        M, p0, q1, _ = movies
-        a = sinkhorn(p0, q1, M, gamma=0.05)
-        b = sinkhorn(p0, q1, M, gamma=0.05)
-        np.testing.assert_array_equal(a.plan, b.plan)
-        assert a.regularized_value == b.regularized_value
+            q[rng.integers(s)] = 0.0  # a zero entry: each oracle restricts to the support
+            q /= q.sum()
+            newton = semidual_value(p, q, M, gamma)
+            scaling = entropic_value_many(p, q[:, None], M, gamma, tol=1e-12)[0]
+            log_domain, plan = sinkhorn_lse(p, q, M, gamma, tol=1e-12)
+            assert scaling == pytest.approx(newton, rel=0, abs=1e-9)
+            assert log_domain == pytest.approx(newton, rel=0, abs=1e-9)
+            np.testing.assert_allclose(plan.sum(axis=0), q, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(plan.sum(axis=1), p, rtol=0, atol=1e-12)
 
 
 class TestGibbsKernel:
@@ -385,7 +261,7 @@ class TestConjugateGrad:
 
     def test_fenchel_young_equality_at_gradient(self):
         # H*(g) + W(p, grad) = <g, grad> must hold exactly at the
-        # maximizer; ties value, gradient, and the scaling solver together.
+        # maximizer; ties value, gradient, and the primal oracle together.
         rng = np.random.default_rng(31)
         M = rng.uniform(size=(4, 3))
         p = rng.dirichlet(np.ones(4))
@@ -393,7 +269,7 @@ class TestConjugateGrad:
         k = GibbsKernel(M, 0.1)
         vals, grads = one_user_conjugate(p, g[:, None], k)
         q_star = grads[:, 0]
-        w = sinkhorn(p, q_star, M, gamma=0.1, tol=1e-12).regularized_value
+        w = semidual_value(p, q_star, M, 0.1)
         assert vals[0] + w == pytest.approx(float(g @ q_star), abs=1e-8)
 
     def test_zero_rows_of_p_do_not_contribute(self):
@@ -467,116 +343,6 @@ def _histograms(rng, k, m, zeros):
     return X / X.sum(axis=0)
 
 
-class TestBatchSinkhorn:
-    @given(st.integers(0, 2**32 - 1), st.floats(math.log10(0.05), 0.0))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_scaling_oracle(self, seed, log_gamma):
-        # a kernel that does not underflow: plain scaling, pair by pair
-        rng = np.random.default_rng(seed)
-        n, s, m = (int(v) for v in rng.integers(1, 7, size=3))
-        gamma = 10.0 ** log_gamma
-        M = rng.uniform(size=(n, s))
-        P, Q = _histograms(rng, n, m, zeros=False), _histograms(rng, s, m, zeros=True)
-        values, _, viol = batch_sinkhorn(P, Q, GibbsKernel(M, gamma), tol=1e-11)
-        assert viol < 1e-11
-        for u in range(m):
-            ref = entropic_value_many(P[:, u], Q[:, [u]], M, gamma, tol=1e-12)[0]
-            assert values[u] == pytest.approx(ref, abs=1e-9)
-
-    def test_matches_log_domain_oracle_down_to_small_gamma(self, monkeypatch):
-        # gamma down to 1e-3, zero entries in p and q, and row and column
-        # cost offsets up to 2 (2000 gamma at the smallest): offsets leave
-        # the plans as they are but push shifted products below the
-        # normal float range, so at small gamma the repair has to run
-        repairs = []
-        real = transport._logsumexp
-
-        def counting(*args, **kwargs):
-            repairs[-1][1] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(transport, "_logsumexp", counting)
-
-        @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 0.0))
-        @settings(max_examples=100, deadline=None)
-        def check(seed, log_gamma):
-            rng = np.random.default_rng(seed)
-            n, s, m = (int(v) for v in rng.integers(1, 7, size=3))
-            gamma = 10.0 ** log_gamma
-            M = (rng.uniform(size=(n, s)) * rng.uniform(0.0, 10.0) * gamma
-                 + rng.uniform(0.0, 2.0, size=(n, 1)) + rng.uniform(0.0, 2.0, size=(1, s)))
-            P, Q = _histograms(rng, n, m, zeros=True), _histograms(rng, s, m, zeros=True)
-            repairs.append([gamma, 0])
-            values, _, viol = batch_sinkhorn(P, Q, GibbsKernel(M, gamma), tol=1e-11)
-            assert viol < 1e-11
-            for u in range(m):
-                # each value is off by at most |f| times the violation summed over rows
-                ref = sinkhorn_lse(P[:, u], Q[:, u], M, gamma, tol=1e-11)
-                assert values[u] == pytest.approx(ref, rel=1e-9, abs=1e-9)
-
-        check()
-        assert sum(count for gamma, count in repairs if gamma <= 1e-2) > 0
-
-    @pytest.mark.parametrize("gamma", [1.0, 0.05, 1e-3])
-    def test_one_pair_is_sinkhorn(self, gamma):
-        rng = np.random.default_rng(31)
-        p = np.array([0.5, 0.0, 0.3, 0.2])
-        q = np.array([0.1, 0.4, 0.0, 0.25, 0.25])
-        M = rng.uniform(size=(4, 5))
-        values, iterations, viol = batch_sinkhorn(p[:, None], q[:, None], GibbsKernel(M, gamma))
-        res = sinkhorn(p, q, M, gamma)
-        assert values[0] == res.regularized_value
-        assert iterations == res.iterations
-        assert viol == pytest.approx(res.marginal_violation, rel=1e-6)
-
-    def test_newton_finish_only_for_pairs_still_open(self, monkeypatch):
-        # pair 0 is the peaked 2 x 2 of TestSinkhorn; pair 1 puts all its
-        # mass on one cold item and closes on the first iteration
-        calls, real = [], transport._newton
-
-        def counting(p, *args):
-            calls.append(p.copy())
-            return real(p, *args)
-
-        monkeypatch.setattr(transport, "_newton", counting)
-        kernel = GibbsKernel(np.array([[0.060, 0.748], [0.911, 0.401]]), 0.05)
-        P, Q = np.full((2, 2), 0.5), np.array([[0.5, 1.0], [0.5, 0.0]])
-        alone = batch_sinkhorn(P[:, [1]], Q[:, [1]], kernel)
-        assert alone[1] < transport._NEWTON_AFTER and not calls
-        values, iterations, viol = batch_sinkhorn(P, Q, kernel)
-        assert iterations == transport._NEWTON_AFTER + 1 and viol < transport.DEFAULT_TOL
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], P[:, 0])
-        assert values[1] == pytest.approx(alone[0][0], rel=1e-12)
-
-    def test_budget_exhaustion_raises_with_diagnostics(self, movies):
-        M, p0, q1, _ = movies
-        for budget in (1, np.int32(1)):
-            with pytest.raises(ConvergenceError) as exc:
-                batch_sinkhorn(p0[:, None], q1[:, None], GibbsKernel(M, 0.05), max_iter=budget)
-            assert exc.value.iterations == 1
-            assert exc.value.violation > 0
-
-    def test_rejects_bad_input(self):
-        kernel = GibbsKernel(np.ones((2, 3)), 0.1)
-        P, Q = np.full((2, 4), 0.5), np.full((3, 4), 1 / 3)
-        with pytest.raises(ValueError, match=r"P must have shape \(2, m >= 1\), got \(1, 4\)$"):
-            batch_sinkhorn(P[:1], Q, kernel)
-        with pytest.raises(ValueError, match="columns"):
-            batch_sinkhorn(P, Q[:, :2], kernel)
-        with pytest.raises(ValueError, match="P columns must be finite"):
-            batch_sinkhorn(-P, Q, kernel)
-        with pytest.raises(ValueError, match="Q columns must be .* of positive mass"):
-            batch_sinkhorn(P, Q * np.array([1, 1, 0, 1]), kernel)
-        with pytest.raises(ValueError, match="tol"):
-            batch_sinkhorn(P, Q, kernel, tol=np.nan)
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            batch_sinkhorn(P, Q, kernel, max_iter=0)
-        for budget in (2.5, 2.0):
-            with pytest.raises(TypeError, match=r"max_iter must be an integer, got %r$" % budget):
-                batch_sinkhorn(P, Q, kernel, max_iter=budget)
-
-
 def _corrupt(case, P):
     """P with its column 1 made invalid as ``case`` says."""
     P = P.copy()
@@ -599,7 +365,6 @@ class TestHistogramValidation:
     CALLERS = {
         "infer_cold": lambda P, kernel: infer_cold(P, kernel),
         "lambda_step": lambda P, kernel: lambda_step(np.eye(3), P.T, kernel),
-        "batch_sinkhorn": lambda P, kernel: batch_sinkhorn(P, np.full((3, 4), 1 / 3), kernel),
         "one_column": lambda P, kernel: transport._histograms(P[:, 1:2], kernel.shape[0]),
     }
 

@@ -14,9 +14,7 @@ from wassrec import (
     SolverError,
     UnboundedDualError,
     batch_conjugate,
-    batch_sinkhorn,
     infer_cold,
-    sinkhorn,
 )
 from wassrec.wcf import (
     FactorModel,
@@ -28,7 +26,7 @@ from wassrec.wcf import (
     save_model,
     train_wcf,
 )
-from oracles import entropy, weighted_projection
+from oracles import entropy, semidual_value, weighted_projection
 
 
 def conj_values_grid(p, G, M, gamma):
@@ -37,6 +35,11 @@ def conj_values_grid(p, G, M, gamma):
     lse = logsumexp(logK[:, :, None] + (G / gamma)[None, :, :], axis=1)
     h = float(-(p * np.log(np.where(p > 0, p, 1.0))).sum())
     return gamma * (h + p @ lse)
+
+
+def primal_values(P, Q, M, gamma):
+    """W_gamma(p_u, q_u) of each column pair of P and Q, by the semi-dual oracle."""
+    return np.array([semidual_value(P[:, u], Q[:, u], M, gamma) for u in range(P.shape[1])])
 
 
 def conj_grad_single(p, g, M, gamma):
@@ -169,8 +172,8 @@ class TestLambdaStep:
             lambda_step(np.eye(4, 2), [np.array([0.5, 0.5])], kernel)
 
     def test_dual_and_sinkhorn_traces_agree_at_optimum(self):
-        # by strong duality at the block optimum the primal Sinkhorn
-        # value equals the negated dual value at the potentials
+        # by strong duality at the block optimum the primal value equals
+        # the negated dual value at the potentials
         rng = np.random.default_rng(14)
         M = rng.uniform(size=(3, 4))
         kernel = GibbsKernel(M, 0.1)
@@ -179,7 +182,7 @@ class TestLambdaStep:
         lam, G = lambda_step(D, P, kernel)
         vals, _ = batch_conjugate(np.stack(P, axis=1), G, kernel,
                                   np.array([entropy(p) for p in P]))
-        primal, _, _ = batch_sinkhorn(np.stack(P, axis=1), wcf._clean_histogram(D @ lam), kernel)
+        primal = primal_values(np.stack(P, axis=1), wcf._clean_histogram(D @ lam), M, 0.1)
         assert primal.sum() == pytest.approx(float(-vals.sum()), abs=1e-6)
 
 
@@ -368,10 +371,9 @@ class TestTrainWcf:
         rng = np.random.default_rng(seed)
         M = rng.uniform(size=(n, s))
         P = np.stack([rng.dirichlet(np.ones(n)) for _ in range(m)], axis=1)
-        kernel = GibbsKernel(M, 0.05)
         model = train_wcf(P.T, M, k=k, gamma=0.05)
         trace = model.objective_trace
-        references = [batch_sinkhorn(P, wcf._clean_histogram(D @ lam), kernel, tol=1e-11)[0].sum()
+        references = [primal_values(P, wcf._clean_histogram(D @ lam), M, 0.05).sum()
                       for D, lam, _ in entries]
         assert len(references) == len(trace)
         for value, reference in zip(trace, references):
@@ -407,20 +409,6 @@ class TestTrainWcf:
         assert len([w for w in record if "redrawing" in str(w.message)]) == deficient_draws
         assert len(model.objective_trace) == len(entries) == 2
         assert self._dual_values(P, GibbsKernel(M, 0.05), entries) == list(model.objective_trace)
-
-    @pytest.mark.filterwarnings("ignore:dictionary dual solve stopped:UserWarning")
-    def test_runs_no_sinkhorn(self, monkeypatch):
-        # the trace reads the block dual values, so training never scales
-        def refuse(*args):
-            raise AssertionError("train_wcf ran a Sinkhorn solve")
-
-        monkeypatch.setattr(transport, "_scale", refuse)
-        for seed, n, s, m, k in [(7, 6, 5, 10, 5), (13, 3, 5, 8, 2)]:
-            rng = np.random.default_rng(seed)
-            M = rng.uniform(size=(n, s))
-            P = [rng.dirichlet(np.ones(n)) for _ in range(m)]
-            model = train_wcf(P, M, k=k, gamma=0.05)
-            assert len(model.objective_trace) >= 2
 
     def test_user_and_item_ids_attached(self):
         rng = np.random.default_rng(2)
@@ -664,11 +652,7 @@ class TestDualityEndToEnd:
         P = [rng.dirichlet(np.ones(n)) for _ in range(m)]
         D = init_factors(s, m, k, seed=0)
         lam, G = lambda_step(D, P, kernel)
-        primal = sum(
-            sinkhorn(P[u], wcf._clean_histogram(D @ lam[:, u]), M, 0.1,
-                     tol=1e-10, max_iter=100_000).regularized_value
-            for u in range(m)
-        )
+        primal = primal_values(np.stack(P, axis=1), wcf._clean_histogram(D @ lam), M, 0.1).sum()
         vals, _ = batch_conjugate(np.stack(P, axis=1), G, kernel,
                                   np.array([entropy(p) for p in P]))
         assert primal == pytest.approx(float(-vals.sum()), abs=1e-6)
