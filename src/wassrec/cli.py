@@ -5,20 +5,29 @@ to the WASSREC_OUT environment variable, then ./wassrec-out):
 
 * prepare: parse ratings and tag-relevance files, binarize, drop items
   without content vectors, and write the filtered tables plus a stats
-  record under <out>/prepared/.
-* train: build the cold-start splits, fit wf or wcf per fold, and write
-  ranked predictions (and wcf model directories) under <out>/runs/:
-  each user's cold items by score descending, ties to the smaller id.
-* evaluate: score every run against the held-out cold interactions and
-  write per-user and summary tables under <out>/reports/.  Each run
-  must hold exactly the split manifest's folds, and each user in a
-  prediction file must rank exactly the fold's cold items.
+  record under <out>/prepared/: each table as one ``.npy`` array per
+  column (``PREPARED`` names them), and as text (``interactions.tsv``,
+  ``genome.csv``), the readable copies.
+* train: read the prepared arrays, build the cold-start splits, fit wf
+  or wcf per fold, and write ranked predictions (and wcf model
+  directories) under <out>/runs/: each user's cold items by score
+  descending, ties to the smaller id.
+* evaluate: score every run against the held-out cold interactions,
+  read from the prepared arrays, and write per-user and summary tables
+  under <out>/reports/.  Each run must hold exactly the split
+  manifest's folds, and each user in a prediction file must rank
+  exactly the fold's cold items.
 
 Each flag value is checked once, by its argparse type, before any file
 is read or written; ``main`` then checks --folds against the --ratio's
 subset count, also as a usage error.  ``main`` resolves the output
 directory to a Path on the parsed namespace and hands that namespace to
 the stage's ``cmd_*`` function.
+
+``train`` and ``evaluate`` never parse prepared text: ``_save_prepared``
+and ``_load_prepared`` write and read the arrays, which equal the text
+tables read back by ``load_interactions`` and ``load_genome`` in dtype,
+shape and bytes, and are checked as outside input on load.
 
 Each stage imports only the modules it runs, so a sweep that starts one
 process per stage pays for no other stage's code: ``prepare`` loads
@@ -58,6 +67,8 @@ import numpy as np
 from .dataio import (
     FORMATS,
     RATIOS,
+    GenomeTable,
+    InteractionTable,
     _sorted_unique,
     _unique_inverse,
     _write_json,
@@ -81,6 +92,15 @@ PREDICTION_HEADER = "user\trank\titem\tscore"
 # column, this many rows at a time; formatting a whole column at once
 # would hold one text per row (about 20 MB for 200k 17-digit floats)
 WRITE_BLOCK = 1 << 10
+# prepare's tables as train and evaluate read them: table -> its class and
+# each field's dtype and dimension count, stored as prepared/<table>_<field>.npy
+PREPARED = {
+    "interactions": (InteractionTable, {"user_ids": (np.int64, 1), "item_ids": (np.int64, 1),
+                                        "ratings": (np.float64, 1),
+                                        "timestamps": (np.int64, 1)}),
+    "genome": (GenomeTable, {"item_ids": (np.int64, 1), "tag_ids": (np.int64, 1),
+                             "relevance": (np.float64, 2)}),
+}
 
 
 def _finite(kind, low=0):
@@ -160,11 +180,12 @@ def cmd_prepare(args) -> int:
     table, genome = filter_catalog(table, genome)
 
     # one record per (user, item) is left, so no pair of rows ties
-    order = np.lexsort((table.item_ids, table.user_ids))
+    table = table._select(np.lexsort((table.item_ids, table.user_ids)))
+    _save_prepared(prepared, "interactions", table)
     _write_table(prepared / "interactions.tsv", "", ("%d\t", "%d\t", "%.17g\t", "%d\n"),
-                 *(_distinct(col[order]) for col in (table.user_ids, table.item_ids,
-                                                     table.ratings)),
-                 table.timestamps[order])
+                 *(_distinct(col) for col in (table.user_ids, table.item_ids, table.ratings)),
+                 table.timestamps)
+    _save_prepared(prepared, "genome", genome)
     # %r of a float is its shortest text that reads back to the same value
     cells, tags = genome.relevance.size, genome.tag_ids.size
     _write_table(prepared / "genome.csv", "movieId,tagId,relevance\n", ("%d,", "%d,", "%r\n"),
@@ -184,6 +205,46 @@ def cmd_prepare(args) -> int:
     print("prepared %d interactions (%d users, %d items) -> %s"
           % (len(table), n_users, n_items, prepared))
     return 0
+
+
+def _array_path(prepared, name, field):
+    return prepared / ("%s_%s.npy" % (name, field))
+
+
+def _save_prepared(prepared, name, table) -> None:
+    """Write each field of ``table`` as the array ``PREPARED[name]`` names."""
+    for field in PREPARED[name][1]:
+        np.save(_array_path(prepared, name, field), getattr(table, field), allow_pickle=False)
+
+
+def _load_prepared(prepared, name):
+    """The table ``name`` of ``PREPARED``, read from its arrays under ``prepared``.
+
+    A missing array, one ``np.load`` refuses, one of another dtype or
+    dimension count, or arrays the table's class refuses are a DataError
+    that names the file (the table's files, for the class's checks).
+    """
+    kind, fields = PREPARED[name]
+    columns = {}
+    for field, (dtype, ndim) in fields.items():
+        path = _array_path(prepared, name, field)
+        try:
+            with open(path, "rb") as fh:
+                array = np.load(fh, allow_pickle=False)
+        except FileNotFoundError:
+            raise DataError("%s is missing: run prepare again to write it" % path) from None
+        except (ValueError, EOFError) as err:
+            raise DataError("%s is not a readable array: %s" % (path, err)) from None
+        if not isinstance(array, np.ndarray):
+            raise DataError("%s is not a .npy array" % path)
+        if array.dtype != dtype or array.ndim != ndim:
+            raise DataError("%s holds a %d-D %s array, not %d-D %s"
+                            % (path, array.ndim, array.dtype, ndim, np.dtype(dtype)))
+        columns[field] = array
+    try:
+        return kind(**columns)
+    except ValueError as err:
+        raise DataError("%s: %s" % (_array_path(prepared, name, "*"), err)) from None
 
 
 def _fold_histograms(split):
@@ -283,8 +344,8 @@ def cmd_train(args) -> int:
     from .wfilter import INFER_BLOCK, infer_cold, rank_order
 
     out = args.out
-    table = load_interactions(out / "prepared" / "interactions.tsv")
-    genome = load_genome(out / "prepared" / "genome.csv")
+    table = _load_prepared(out / "prepared", "interactions")
+    genome = _load_prepared(out / "prepared", "genome")
 
     splits = cold_start_split(table, ratio=args.ratio, folds=args.folds, seed=args.seed)
     del table  # each split holds its own train and test rows
@@ -410,7 +471,7 @@ def cmd_evaluate(args) -> int:
     manifest_path = out / "splits" / "manifest.json"
     manifest = read_split_manifest(manifest_path)
     folds = sorted("fold%d" % f["fold"] for f in manifest["folds"])
-    table = load_interactions(out / "prepared" / "interactions.tsv")
+    table = _load_prepared(out / "prepared", "interactions")
 
     runs_dir = out / "runs"
     algorithms = ([args.algorithm] if args.algorithm

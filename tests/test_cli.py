@@ -183,6 +183,29 @@ class TestPrepare:
         genome = load_genome(pipeline_out / "prepared" / "genome.csv")
         assert list(genome.item_ids) == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("catalog", ["fixture", "shuffled"])
+    def test_arrays_equal_the_text_tables_read_back(self, pipeline_out, tmp_path, catalog):
+        # train and evaluate read the arrays; people and the benchmark read
+        # the text, so the two must hold the same tables bit for bit; the
+        # fixture's ratings are in (user, item) order, the shuffled ones not
+        prepared = pipeline_out / "prepared"
+        if catalog == "shuffled":
+            rng = np.random.default_rng(10)
+            write_catalog(tmp_path, rng, users=40, items=30, per_user=8, tags=5)
+            lines = (tmp_path / "u.data").read_text().splitlines(keepends=True)
+            (tmp_path / "u.data").write_text("".join(rng.permutation(lines)))
+            assert main(["prepare", "--ratings", str(tmp_path / "u.data"), "--genome",
+                         str(tmp_path / "genome.csv"), "--out", str(tmp_path / "o")]) == 0
+            prepared = tmp_path / "o" / "prepared"
+        texts = {"interactions": load_interactions(prepared / "interactions.tsv"),
+                 "genome": load_genome(prepared / "genome.csv")}
+        for name, (_, fields) in cli.PREPARED.items():
+            for field in fields:
+                array = np.load(prepared / ("%s_%s.npy" % (name, field)), allow_pickle=False)
+                want = getattr(texts[name], field)
+                assert (array.dtype, array.shape) == (want.dtype, want.shape), (name, field)
+                assert array.tobytes() == want.tobytes(), (name, field)
+
     def test_prepared_genome_keeps_values_in_shortest_text(self, pipeline_out):
         prepared = pipeline_out / "prepared" / "genome.csv"
         with pytest.warns(UserWarning, match="absent"):
@@ -267,7 +290,8 @@ class TestTrain:
     def test_requires_prepared_data(self, tmp_path, capsys):
         rc = main(["train", "--algorithm", "wf", "--out", str(tmp_path / "empty")])
         assert rc == 2
-        assert "interactions.tsv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "interactions_user_ids.npy" in err and "run prepare again" in err
 
     def test_wf_predictions_equal_library_calls(self, pipeline_out):
         # the CLI is a thin shell: fold 0's file must reproduce direct
@@ -587,6 +611,17 @@ class TestEvaluate:
         assert main(["evaluate", "--out", str(out)]) == 2
         assert "no runs found under %s" % (out / "runs") in capsys.readouterr().err
 
+    def test_requires_prepared_arrays(self, pipeline_out, tmp_path, capsys):
+        # a directory prepared before the arrays existed holds only the text
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_out, out)
+        for path in (out / "prepared").glob("*.npy"):
+            path.unlink()
+        capsys.readouterr()
+        assert main(["evaluate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "interactions_user_ids.npy" in err and "run prepare again" in err
+
     def test_requires_manifest(self, tmp_path, capsys):
         rc = main(["evaluate", "--out", str(tmp_path / "void")])
         assert rc == 2
@@ -653,6 +688,66 @@ class TestEvaluate:
         assert "['fold0', 'fold1']" in err and "['fold0']" in err
         assert not (out / "reports").exists()
         assert main(["evaluate", "--algorithm", "wf", "--out", str(out)]) == 0
+
+
+def truncated(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def zipped(path):
+    array = np.load(path)
+    with open(path, "wb") as fh:  # np.load of a zip archive returns no array
+        np.savez(fh, array=array)
+
+
+class TestPreparedArrays:
+    # each array is outside input: a bad one is a data error naming its file
+    # (the table's files, for a check its class makes); evaluate reads no genome
+    BAD = {
+        "float-user-ids": ("interactions_user_ids.npy",
+                           lambda path: np.save(path, np.load(path).astype(np.float64))),
+        "2-D-ratings": ("interactions_ratings.npy",
+                        lambda path: np.save(path, np.load(path)[:, None])),
+        "truncated-user-ids": ("interactions_user_ids.npy", truncated),
+        "truncated-relevance": ("genome_relevance.npy", truncated),
+        "zipped-tag-ids": ("genome_tag_ids.npy", zipped),
+        "object-item-ids": ("interactions_item_ids.npy",
+                            lambda path: np.save(path, np.load(path).astype(object))),
+        "short-timestamps": ("interactions_timestamps.npy",
+                             lambda path: np.save(path, np.load(path)[1:])),
+    }
+
+    @pytest.mark.parametrize("stage, case", [
+        pytest.param(stage, case, id="%s-%s" % (stage, case))
+        for case, (name, _) in BAD.items()
+        for stage in ("train", "evaluate") if stage == "train" or name.startswith("inter")])
+    def test_bad_array_exits_2_naming_the_file(self, pipeline_out, tmp_path, capsys,
+                                               stage, case):
+        name, spoil = self.BAD[case]
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_out, out)
+        spoil(out / "prepared" / name)
+        argv = ["train", "--algorithm", "wf"] if stage == "train" else ["evaluate"]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert (name if case != "short-timestamps" else "interactions_*.npy") in err
+
+    def test_train_and_evaluate_parse_no_prepared_text(self, pipeline_out, tmp_path,
+                                                       monkeypatch):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_out, out)
+        before = snapshot(out / "runs" / "wf") | snapshot(out / "reports")
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a stage after prepare parsed a text table")
+
+        monkeypatch.setattr(cli, "load_interactions", no_parse)
+        monkeypatch.setattr(cli, "load_genome", no_parse)
+        assert main(["train", "--algorithm", "wf", "--out", str(out)]) == 0
+        assert main(["evaluate", "--out", str(out)]) == 0
+        assert snapshot(out / "runs" / "wf") | snapshot(out / "reports") == before
 
 
 VALID_ROWS = ["1\t1\t10\t0.5", "1\t2\t20\t0.25", "2\t1\t20\t0.75", "2\t2\t10\t0.125"]
