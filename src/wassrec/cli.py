@@ -44,12 +44,14 @@ stack; wcf trains on that whole stack.  The genome is dropped once the
 last fold's cost is built.
 
 The prepared tables and the predictions are written by one writer,
-``_write_table``, WRITE_BLOCK lines at a time.  A column that repeats
-few values (ids, ranks, genome relevances) has each distinct value
-formatted once; a column derived from the row number (a user repeated
-over its ranks, a tag tiled over the items, a score gathered through a
-ranking) is a ``_ByRow``, computed for one block of rows at a time, so
-a write holds one block plus the distinct texts beside its inputs.  The
+``_write_table``, WRITE_BLOCK lines at a time.  Its columns are
+functions from an array of row numbers to those rows' texts.  A
+``_lookup`` formats each distinct value once (ids, ranks, ratings,
+genome relevances); ``_formatted`` formats plain values one block at a
+time (timestamps, scores).  A column derived from the row number (a
+user repeated over its ranks, a tag tiled over the items, an item or a
+score gathered through a ranking) is a lambda over those two, so a
+write holds one block plus the distinct texts beside its inputs.  The
 reports have writers of their own, in ``metrics`` and ``cmd_evaluate``.
 
 Every file the pipeline writes is deterministic for fixed flags, seed
@@ -88,9 +90,9 @@ __all__ = ["main", "app", "build_parser"]
 OUT_ENV = "WASSREC_OUT"
 DEFAULT_OUT = "wassrec-out"
 PREDICTION_HEADER = "user\trank\titem\tscore"
-# rows per write: _write_table formats a plain column, and gathers every
-# column, this many rows at a time; formatting a whole column at once
-# would hold one text per row (about 20 MB for 200k 17-digit floats)
+# rows per write: _write_table asks every column for this many rows at a
+# time; formatting a whole column at once would hold one text per row
+# (about 20 MB for 200k 17-digit floats)
 WRITE_BLOCK = 1 << 10
 # prepare's tables as train and evaluate read them: table -> its class and
 # each field's dtype and dimension count, stored as prepared/<table>_<field>.npy
@@ -182,16 +184,17 @@ def cmd_prepare(args) -> int:
     # one record per (user, item) is left, so no pair of rows ties
     table = table._select(np.lexsort((table.item_ids, table.user_ids)))
     _save_prepared(prepared, "interactions", table)
-    _write_table(prepared / "interactions.tsv", "", ("%d\t", "%d\t", "%.17g\t", "%d\n"),
-                 *(_distinct(col) for col in (table.user_ids, table.item_ids, table.ratings)),
-                 table.timestamps)
+    _write_table(prepared / "interactions.tsv", "", len(table),
+                 _lookup("%d\t", table.user_ids), _lookup("%d\t", table.item_ids),
+                 _lookup("%.17g\t", table.ratings),
+                 _formatted("%d\n", table.timestamps.__getitem__))
     _save_prepared(prepared, "genome", genome)
     # %r of a float is its shortest text that reads back to the same value
-    cells, tags = genome.relevance.size, genome.tag_ids.size
-    _write_table(prepared / "genome.csv", "movieId,tagId,relevance\n", ("%d,", "%d,", "%r\n"),
-                 (genome.item_ids, _ByRow(cells, lambda r: r // tags)),
-                 (genome.tag_ids, _ByRow(cells, lambda r: r % tags)),
-                 _distinct(genome.relevance))
+    tags = genome.tag_ids.size
+    item, tag = _lookup("%d,", genome.item_ids), _lookup("%d,", genome.tag_ids)
+    _write_table(prepared / "genome.csv", "movieId,tagId,relevance\n", genome.relevance.size,
+                 lambda r: item(r // tags), lambda r: tag(r % tags),
+                 _lookup("%r\n", genome.relevance))
 
     n_users = int(table.users.size)
     n_items = int(table.items.size)
@@ -274,68 +277,42 @@ def _fold_histograms(split):
     return users.tolist(), histograms
 
 
-def _distinct(values):
-    """``values`` as a ``(distinct values, index)`` column of ``_write_table``.
+def _lookup(field, values):
+    """A column of ``_write_table``: row r shows ``field % values[r]``.
 
-    Values are told apart by their bits, so -0.0 and 0.0 keep their own
-    texts (``np.unique`` of the floats would merge them).
+    Each distinct value is formatted once, and values are told apart by
+    their bits, so -0.0 and 0.0 keep their own texts (``np.unique`` of
+    the floats would merge them).
     """
     values = np.ravel(values)
     bits, index = _unique_inverse(values.view(np.int64))
-    return bits.view(values.dtype), index
+    texts = np.array([field % v for v in bits.view(values.dtype).tolist()], dtype=object)
+    return lambda rows: texts[index[rows]]
 
 
-class _ByRow:
-    """A column of ``size`` rows made one block at a time for ``_write_table``.
+def _formatted(field, values):
+    """A column of ``_write_table``: row r shows ``field % values(r)``, formatted per block."""
+    return lambda rows: list(map(field.__mod__, values(rows).tolist()))
 
-    ``self[start:stop]`` is ``rows(np.arange(start, stop))``, the
-    column's entries at those row numbers, so a column derived from the
-    row number (a repeat, a tile, a gather through a ranking) is never
-    held whole.
+
+def _write_table(path, header, size, *columns) -> None:
+    """Write ``header``, then rows 0 to ``size - 1``, each its columns' texts joined.
+
+    A column is a function from an array of row numbers to the texts of
+    those rows, each text ending in its separator or newline.  The
+    writer asks every column for one block of WRITE_BLOCK rows at a
+    time, gathers the texts into an object array and writes the block
+    with one ``"".join``, so a write holds one block beside what its
+    columns hold.
     """
-
-    def __init__(self, size, rows):
-        self.size, self.rows = size, rows
-
-    def __len__(self):
-        return self.size
-
-    def __getitem__(self, block):
-        return self.rows(np.arange(block.start, min(block.stop, self.size)))
-
-
-def _write_table(path, header, fields, *columns) -> None:
-    """Write ``header``, then one line per row of the aligned ``columns``.
-
-    ``fields[j]`` is column j's ``%`` field followed by its separator or
-    newline, so a line is its row's field texts joined.  A column is
-    either a plain column, formatted one value at a time for each block
-    of WRITE_BLOCK rows, or a pair ``(values, index)``: each of
-    ``values`` is formatted once, and row r shows the text of
-    ``values[index[r]]``.  A plain column and an index are arrays or
-    ``_ByRow`` columns; either way the writer takes them one block
-    ``[start:start + WRITE_BLOCK]`` at a time.  A pair holds one text
-    per distinct value for the whole write, so it saves time and memory
-    on a column that repeats few values, and costs memory in proportion
-    to ``values`` on one that does not.  Each block is gathered into an
-    object array and written with one ``"".join``.
-    """
-    pairs = [col if isinstance(col, tuple) else (None, col) for col in columns]
-    texts = [None if values is None else
-             np.array([field % v for v in np.asarray(values).tolist()], dtype=object)
-             for field, (values, _) in zip(fields, pairs)]
-    rows = [index for _, index in pairs]
     cells = np.empty((WRITE_BLOCK, len(columns)), dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
-        for start in range(0, len(rows[0]), WRITE_BLOCK):
-            block = [col[start:start + WRITE_BLOCK] for col in rows]
-            k = len(block[0])
-            for j, (field, text, col) in enumerate(zip(fields, texts, block)):
-                cells[:k, j] = (text[col] if text is not None else
-                                np.fromiter(map(field.__mod__, col.tolist()), dtype=object,
-                                            count=k))
-            fh.write("".join(cells[:k].ravel().tolist()))
+        for start in range(0, size, WRITE_BLOCK):
+            rows = np.arange(start, min(start + WRITE_BLOCK, size))
+            for j, column in enumerate(columns):
+                cells[:rows.size, j] = column(rows)
+            fh.write("".join(cells[:rows.size].ravel().tolist()))
 
 
 def cmd_train(args) -> int:
@@ -397,13 +374,11 @@ def cmd_train(args) -> int:
         for cols in blocks:
             ranked[cols] = rank_order(Q[:, cols], split.cold_items).T
         ranked = ranked.ravel()
-        rows = ranked.size
-        _write_table(run_dir / "predictions.tsv", PREDICTION_HEADER + "\n",
-                     ("%d\t", "%d\t", "%d\t", "%.17g\n"),
-                     (users, _ByRow(rows, lambda r: r // s)),
-                     (np.arange(1, s + 1), _ByRow(rows, lambda r: r % s)),
-                     (split.cold_items, ranked),
-                     _ByRow(rows, lambda r: Q[ranked[r], r // s]))
+        user, rank, item = (_lookup("%d\t", ids)
+                            for ids in (users, np.arange(1, s + 1), split.cold_items))
+        _write_table(run_dir / "predictions.tsv", PREDICTION_HEADER + "\n", ranked.size,
+                     lambda r: user(r // s), lambda r: rank(r % s), lambda r: item(ranked[r]),
+                     _formatted("%.17g\n", lambda r: Q[ranked[r], r // s]))
         print("fold %d: wrote %d rankings -> %s"
               % (split.fold, m, run_dir / "predictions.tsv"))
         del Q, ranked  # not held through the next fold's solve

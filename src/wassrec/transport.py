@@ -12,7 +12,6 @@ Histograms are checked in one place, ``_histograms``, whether one
 user's or a whole stack.
 """
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -151,20 +150,6 @@ def _positive(name, value) -> float:
     if not 0 < v < np.inf:
         raise ValueError("%s must be positive and finite, got %r" % (name, value))
     return v
-
-
-def _check_budget(tol, count, name):
-    """Check a solve's tolerance and its pass budget ``count``, named ``name`` in errors.
-
-    A budget is an integer (a NumPy integer too) of at least 1.
-    """
-    _positive("tol", tol)
-    try:
-        count = operator.index(count)
-    except TypeError:
-        raise TypeError("%s must be an integer, got %r" % (name, count)) from None
-    if count < 1:
-        raise ValueError("%s must be at least 1" % name)
 
 
 def batch_conjugate(P, G, kernel: GibbsKernel, entropies):

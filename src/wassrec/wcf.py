@@ -43,7 +43,7 @@ import numpy as np
 
 from .dataio import _check_record, _write_json
 from .exceptions import RankDeficiencyError, SolverError, UnboundedDualError
-from .transport import GibbsKernel, _check_budget, _histograms, _positive, batch_conjugate
+from .transport import GibbsKernel, _histograms, _positive, batch_conjugate
 
 __all__ = [
     "FactorModel",
@@ -143,6 +143,20 @@ def _full_rank_qr(A, factor):
     if rank < k:
         raise RankDeficiencyError(factor, int(rank), k)
     return np.linalg.qr(A)
+
+
+def _check_budget(tol, max_outer):
+    """Check the outer tolerance and pass budget of ``train_wcf``.
+
+    A budget is an integer (a NumPy integer too) of at least 1.
+    """
+    _positive("tol", tol)
+    try:
+        max_outer = operator.index(max_outer)
+    except TypeError:
+        raise TypeError("max_outer must be an integer, got %r" % (max_outer,)) from None
+    if max_outer < 1:
+        raise ValueError("max_outer must be at least 1")
 
 
 def init_factors(n_cold: int, n_users: int, k: int, seed: int = 0) -> np.ndarray:
@@ -373,7 +387,7 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
     trace carries on.  Returns the trained factors with the lowest
     traced objective.
     """
-    _check_budget(tol, max_outer, "max_outer")
+    _check_budget(tol, max_outer)
     kernel = GibbsKernel(M, gamma)
     P_mat, ents = _histograms(np.transpose(P), kernel.shape[0])
     m, s = P_mat.shape[1], kernel.shape[1]
@@ -395,9 +409,9 @@ def train_wcf(P, M, k: int, gamma: float = 0.05, tol: float = 1e-5, max_outer: i
     rng = np.random.default_rng(seed + 1)
     while outer < max_outer:
         try:
-            lam, G = lambda_step(D, P_mat.T, kernel, G)
+            lam, G = lambda_step(D, P, kernel, G)
             score(D, lam, G)
-            D, G = d_step(lam, P_mat.T, kernel, G)
+            D, G = d_step(lam, P, kernel, G)
         except RankDeficiencyError as err:
             redraws += 1
             if redraws > _RANK_RETRIES:

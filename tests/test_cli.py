@@ -870,8 +870,12 @@ class TestWriteTable:
         repeated = rng.permutation(pool[np.arange(rows) % pool.size])
         plain = np.where(rng.random(rows) < 0.5, repeated, rng.random(rows) / 3)
         fields = ("%d\t", "%d\t", "%r\t", "%.17g\t", "%r,", "%.17g\n")
-        cli._write_table(tmp_path / "new.tsv", "h\n", fields, ints, (extremes, at), plain, plain,
-                         cli._distinct(repeated), cli._distinct(repeated))
+        extreme = cli._lookup(fields[1], extremes)
+        cli._write_table(tmp_path / "new.tsv", "h\n", rows,
+                         cli._formatted(fields[0], ints.__getitem__), lambda r: extreme(at[r]),
+                         cli._formatted(fields[2], plain.__getitem__),
+                         cli._formatted(fields[3], plain.__getitem__),
+                         cli._lookup(fields[4], repeated), cli._lookup(fields[5], repeated))
         write_table(tmp_path / "old.tsv", "h\n", "".join(fields), ints, extremes[at], plain,
                     plain, repeated, repeated)
         new = (tmp_path / "new.tsv").read_bytes()
@@ -884,9 +888,10 @@ class TestWriteTable:
         # formatting the plain column whole would hold about 20 MB of texts
         rows = 200_000
         scores = np.random.default_rng(0).random(rows) / 3
-        users = (np.arange(1000), np.repeat(np.arange(1000), rows // 1000))
-        peak = traced_peak(lambda: cli._write_table(tmp_path / "t.tsv", "", ("%d\t", "%.17g\n"),
-                                                    users, scores))
+        user, index = cli._lookup("%d\t", np.arange(1000)), np.repeat(np.arange(1000), rows // 1000)
+        peak = traced_peak(lambda: cli._write_table(
+            tmp_path / "t.tsv", "", rows, lambda r: user(index[r]),
+            cli._formatted("%.17g\n", scores.__getitem__)))
         assert peak <= 3 * 2**20
         assert (tmp_path / "t.tsv").stat().st_size > 20 * rows
 
@@ -896,13 +901,14 @@ class TestWriteTable:
                                                                         items, tags):
         # cmd_prepare's columns; np.repeat and np.tile held 16 bytes a row
         rows = items * tags
-        relevance = cli._distinct(np.random.default_rng(0).integers(2000, size=rows) / 2000)
+        values = np.random.default_rng(0).integers(2000, size=rows) / 2000
+        relevance = cli._lookup("%r\n", values)
         ids, tag_ids = np.arange(items) * 3 + 1, np.arange(tags) * 7 + 2
+        item, tag = cli._lookup("%d,", ids), cli._lookup("%d,", tag_ids)
         peak = traced_peak(lambda: cli._write_table(
-            tmp_path / "genome.csv", "", ("%d,", "%d,", "%r\n"),
-            (ids, cli._ByRow(rows, lambda r: r // tags)),
-            (tag_ids, cli._ByRow(rows, lambda r: r % tags)), relevance))
-        assert peak <= 2**19 + 200 * (items + tags + relevance[0].size)
+            tmp_path / "genome.csv", "", rows,
+            lambda r: item(r // tags), lambda r: tag(r % tags), relevance))
+        assert peak <= 2**19 + 200 * (items + tags + np.unique(values).size)
         assert (tmp_path / "genome.csv").read_text().count("\n") == rows
 
     @pytest.mark.parametrize("users, s", [(1000, 200), (2000, 200)])
@@ -914,12 +920,12 @@ class TestWriteTable:
         Q = np.random.default_rng(1).random((s, users))
         ranked = np.argsort(-Q, axis=0).T.ravel()
         user_ids, items = np.arange(users) * 5, np.arange(s) * 11
+        user, rank, item = (cli._lookup("%d\t", ids)
+                            for ids in (user_ids, np.arange(1, s + 1), items))
         peak = traced_peak(lambda: cli._write_table(
-            tmp_path / "predictions.tsv", "", ("%d\t", "%d\t", "%d\t", "%.17g\n"),
-            (user_ids, cli._ByRow(rows, lambda r: r // s)),
-            (np.arange(1, s + 1), cli._ByRow(rows, lambda r: r % s)),
-            (items, ranked),
-            cli._ByRow(rows, lambda r: Q[ranked[r], r // s])))
+            tmp_path / "predictions.tsv", "", rows,
+            lambda r: user(r // s), lambda r: rank(r % s), lambda r: item(ranked[r]),
+            cli._formatted("%.17g\n", lambda r: Q[ranked[r], r // s])))
         assert peak <= 2**19 + 200 * (users + 2 * s)
         lines = (tmp_path / "predictions.tsv").read_text().splitlines()
         assert len(lines) == rows

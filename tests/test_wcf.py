@@ -410,6 +410,28 @@ class TestTrainWcf:
         assert len(model.objective_trace) == len(entries) == 2
         assert self._dual_values(P, GibbsKernel(M, 0.05), entries) == list(model.objective_trace)
 
+    def test_block_steps_solve_on_the_traced_histograms(self, monkeypatch):
+        # the trace is scored on train_wcf's normalized stack, and each
+        # block step normalizes the histograms it is given; given that
+        # stack, it would normalize it a second time, which moves bits
+        # on this instance
+        rng = np.random.default_rng(3)
+        n, s, m, k = 40, 12, 30, 3
+        M = rng.uniform(size=(n, s))
+        P = rng.uniform(size=(m, n))
+        own, _ = transport._histograms(P.T, n)
+        assert own.tobytes() != transport._histograms(own, n)[0].tobytes()
+        given = []
+        for name in ("lambda_step", "d_step"):
+            def recording(factor, P, kernel, G0=None, step=getattr(wcf, name)):
+                given.append(P)
+                return step(factor, P, kernel, G0)
+            monkeypatch.setattr(wcf, name, recording)
+        train_wcf(P, M, k=k, gamma=0.05, max_outer=1)
+        assert len(given) == 2
+        for P_step in given:
+            assert transport._histograms(np.transpose(P_step), n)[0].tobytes() == own.tobytes()
+
     def test_user_and_item_ids_attached(self):
         rng = np.random.default_rng(2)
         M = rng.uniform(size=(3, 4))
